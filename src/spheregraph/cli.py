@@ -28,32 +28,29 @@ def _int_list(_ctx, _param, value):
         raise click.BadParameter(f"expected a comma-separated integer list, got {value!r}")
 
 
-def _build_sampling(scheme, nside, bandwidth, level, n, indexing, seed):
+def _sampling_at(scheme, r, indexing, seed):
+    """The sampling of `scheme` at resolution r (its nside, bandwidth, level or n)."""
     if scheme == "healpix":
-        if nside is None:
-            raise click.UsageError("--nside is required for healpix")
-        return samplings.healpix_sampling(nside, indexing)
+        return samplings.healpix_sampling(r, indexing)
     if scheme == "equiangular":
-        if bandwidth is None:
-            raise click.UsageError("--bandwidth is required for equiangular")
-        return samplings.equiangular_sampling(bandwidth)
+        return samplings.equiangular_sampling(r)
     if scheme == "icosahedral":
-        if level is None:
-            raise click.UsageError("--level is required for icosahedral")
-        return samplings.icosahedral_sampling(level)
-    if n is None:
-        raise click.UsageError("--n is required for random")
-    return samplings.random_uniform_sampling(n, seed)
+        return samplings.icosahedral_sampling(r)
+    return samplings.random_uniform_sampling(r, seed)
 
 
-def _resolutions_of(scheme, nside, bandwidth, level, n):
-    values = {"healpix": nside, "equiangular": bandwidth,
-              "icosahedral": level, "random": n}[scheme]
-    if not values:
+def _resolution(scheme, nside, bandwidth, level, n):
+    """The value (or list) given for the scheme's resolution option."""
+    r = {"healpix": nside, "equiangular": bandwidth, "icosahedral": level, "random": n}[scheme]
+    if r is None or r == []:
         flag = {"healpix": "--nside", "equiangular": "--bandwidth",
                 "icosahedral": "--level", "random": "--n"}[scheme]
         raise click.UsageError(f"{flag} is required for {scheme}")
-    return values
+    return r
+
+
+def _build_sampling(scheme, nside, bandwidth, level, n, indexing, seed):
+    return _sampling_at(scheme, _resolution(scheme, nside, bandwidth, level, n), indexing, seed)
 
 
 def _header(ctx, command, **params):
@@ -86,22 +83,21 @@ def _sampling_options(multi=False):
     return wrap
 
 
-def _resolve_t(t_text, s, k):
-    if t_text == "heuristic":
-        return graphs.heuristic_kernel_width(s, k, "half-mean-square")
-    if t_text == "mean-distance":
-        return graphs.heuristic_kernel_width(s, k, "mean-distance")
+def _t_number(t_text, names):
     try:
         return float(t_text)
     except ValueError:
-        raise click.UsageError(f"--t must be 'heuristic', 'mean-distance', or a number, got {t_text!r}")
+        raise click.UsageError(f"--t must be {names}, or a number, got {t_text!r}")
 
 
-def _weight_scheme(weight, t_text, s, k):
+def _build_graph(s, k, weight, t_text):
+    """The command's kNN graph and its kernel width (0 for inverse-distance weights)."""
     if weight == "inverse-distance":
-        return graphs.WeightScheme("inverse-distance"), 0.0
-    t = _resolve_t(t_text, s, k)
-    return graphs.WeightScheme("gaussian", t), t
+        return graphs.build_graph(s, k, graphs.WeightScheme("inverse-distance")), 0.0
+    family = graphs.GaussianGraphFamily(s, k)
+    kind = {"heuristic": "half-mean-square", "mean-distance": "mean-distance"}.get(t_text)
+    t = family.heuristic_width(kind) if kind else _t_number(t_text, "'heuristic', 'mean-distance'")
+    return family.graph(t), t
 
 
 def _input_signal(s, signal, degree, seed):
@@ -159,8 +155,7 @@ def sample(ctx, scheme, nside, bandwidth, level, n, indexing, out_override):
 def graph(ctx, scheme, nside, bandwidth, level, n, indexing, k, weight, t_text, matrix, out_override):
     """Build the kNN graph and export it in coordinate format."""
     s = _build_sampling(scheme, nside, bandwidth, level, n, indexing, ctx.obj["seed"])
-    w, t = _weight_scheme(weight, t_text, s, k)
-    g = graphs.build_graph(s, k, w)
+    g, t = _build_graph(s, k, weight, t_text)
     mat = graphs.laplacian(g) if matrix == "laplacian" else g.adjacency
     path = _out_path(ctx, "graph.csv", out_override)
     io.write_sparse_csv(mat, path, _header(
@@ -252,15 +247,8 @@ def _parse_degrees(text, band):
 def equiv_sweep(ctx, scheme, nside, bandwidth, level, n, indexing, ks, weight,
                 t_text, degrees, n_signals, n_rotations, lmax_analysis, out_override):
     """Mean equivariance error over a (resolution, k, degree) grid."""
-    resolutions = _resolutions_of(scheme, nside, bandwidth, level, n)
-    sam_list = [
-        _build_sampling(scheme, r if scheme == "healpix" else None,
-                        r if scheme == "equiangular" else None,
-                        r if scheme == "icosahedral" else None,
-                        r if scheme == "random" else None,
-                        indexing, ctx.obj["seed"])
-        for r in resolutions
-    ]
+    resolutions = _resolution(scheme, nside, bandwidth, level, n)
+    sam_list = [_sampling_at(scheme, r, indexing, ctx.obj["seed"]) for r in resolutions]
     cfg = equivariance.EquivarianceConfig(
         n_signals=n_signals, n_rotations=n_rotations, seed=ctx.obj["seed"],
         lmax_analysis=lmax_analysis)
@@ -268,7 +256,7 @@ def equiv_sweep(ctx, scheme, nside, bandwidth, level, n, indexing, ks, weight,
     if t_text in ("optimal", "heuristic", "mean-distance"):
         t_mode = t_text
     else:
-        t_mode = _resolve_t(t_text, sam_list[0], ks[0])
+        t_mode = _t_number(t_text, "'optimal', 'heuristic', 'mean-distance'")
     rows = equivariance.equivariance_sweep(
         sam_list, ks, weight, t_mode, degs, cfg, threads=ctx.obj["threads"])
     path = _out_path(ctx, "sweep.csv", out_override)
@@ -293,20 +281,16 @@ def equiv_sweep(ctx, scheme, nside, bandwidth, level, n, indexing, ks, weight,
 def opt_t(ctx, scheme, nside, bandwidth, level, n, indexing, k, degrees,
           n_signals, n_rotations, lmax_analysis, out_override):
     """Optimal Gaussian kernel widths over resolutions, with a power-law fit."""
-    resolutions = _resolutions_of(scheme, nside, bandwidth, level, n)
+    resolutions = _resolution(scheme, nside, bandwidth, level, n)
     if len(resolutions) < 3:
         raise click.UsageError("opt-t needs at least 3 resolutions for the power-law fit")
+    cfg = equivariance.EquivarianceConfig(
+        n_signals=n_signals, n_rotations=n_rotations, seed=ctx.obj["seed"],
+        lmax_analysis=lmax_analysis)
     rows = []
     pairs = []
     for r in resolutions:
-        s = _build_sampling(scheme, r if scheme == "healpix" else None,
-                            r if scheme == "equiangular" else None,
-                            r if scheme == "icosahedral" else None,
-                            r if scheme == "random" else None,
-                            indexing, ctx.obj["seed"])
-        cfg = equivariance.EquivarianceConfig(
-            n_signals=n_signals, n_rotations=n_rotations, seed=ctx.obj["seed"],
-            lmax_analysis=lmax_analysis)
+        s = _sampling_at(scheme, r, indexing, ctx.obj["seed"])
         degs = _parse_degrees(degrees, samplings.reliable_band(s))
         t_opt = equivariance.optimize_kernel_width(s, k, degs, cfg)
         t_heur = graphs.heuristic_kernel_width(s, k, "half-mean-square")
@@ -338,12 +322,9 @@ def filter_cmd(ctx, scheme, nside, bandwidth, level, n, indexing, k, weight,
                t_text, spec, signal, degree, out_override):
     """Apply a polynomial Laplacian filter to a signal."""
     s = _build_sampling(scheme, nside, bandwidth, level, n, indexing, ctx.obj["seed"])
-    w, t = _weight_scheme(weight, t_text, s, k)
-    lap = graphs.laplacian(graphs.build_graph(s, k, w))
+    g, t = _build_graph(s, k, weight, t_text)
+    lap = graphs.laplacian(g)
     h = io.read_filter_csv(spec)
-    if h.basis == "chebyshev" and h.lambda_max is None:
-        h = filters.FilterCoeffs("chebyshev", h.coeffs,
-                                 graphs.largest_eigenvalue(lap) * 1.01)
     values = _input_signal(s, signal, degree, ctx.obj["seed"])
     out_values = filters.filter_apply(lap, h, values)
     path = _out_path(ctx, "filtered.csv", out_override)

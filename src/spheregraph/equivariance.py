@@ -23,13 +23,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidArgumentError, UndefinedNormalizationError
-from .graphs import (
-    GaussianGraphFamily,
-    WeightScheme,
-    build_graph,
-    heuristic_kernel_width,
-    laplacian,
-)
+from .graphs import GaussianGraphFamily, WeightScheme, build_graph, laplacian
 from .harmonics import (
     AnalysisPlan,
     Rotation,
@@ -93,7 +87,7 @@ def equivariance_error(L, R, f: np.ndarray) -> float:
     lf = L @ f
     den = float(np.linalg.norm(lf))
     linf = float(np.abs(L).sum(axis=1).max()) if hasattr(L, "sum") else 1.0
-    if den <= 1e-12 * max(linf, 1.0) * float(np.linalg.norm(f)):
+    if den <= 1e-12 * linf * float(np.linalg.norm(f)):
         raise UndefinedNormalizationError("L f is numerically zero; error undefined")
     apply_r = R if callable(R) else (lambda v: R @ v)
     num = float(np.linalg.norm(apply_r(lf) - L @ apply_r(f)))
@@ -126,28 +120,21 @@ class _CellDraws:
 
 
 class SweepEngine:
-    """Shared factorizations for Monte-Carlo equivariance estimates.
+    """Shared factorization for Monte-Carlo equivariance estimates.
 
-    One engine caches the basis matrix, its Gram factorization, and the random
-    draws for every cell it serves, so kernel-width optimization re-evaluates
-    the objective on identical draws (common random numbers).
+    One engine holds the analysis plan (basis matrix and Gram factorization).
+    It keeps no draws: `draws` rebuilds a cell's draws bit for bit from the
+    cell's seed, and kernel-width optimization holds on to the draws it got,
+    so every width sees identical draws (common random numbers).
     """
 
     def __init__(self, s: Sampling, lmax_analysis: int):
         self.sampling = s
         self.lmax = lmax_analysis
         self.plan = AnalysisPlan(s, lmax_analysis)
-        self.basis = self.plan.basis
-        self.gram = self.plan.gram
-        self._draws: dict = {}
 
     def draws(self, k: int, weight_kind: str, l: int, cfg: EquivarianceConfig) -> _CellDraws:
-        key = (k, weight_kind, l, cfg.seed, cfg.n_signals, cfg.n_rotations)
-        got = self._draws.get(key)
-        if got is None:
-            got = _CellDraws(self.sampling, k, weight_kind, l, cfg, self.lmax)
-            self._draws[key] = got
-        return got
+        return _CellDraws(self.sampling, k, weight_kind, l, cfg, self.lmax)
 
     def degree_ops(self, L, max_degree: int):
         """t-dependent matrices: H = B^H L B_sig, Ltil = (G+ridge)^-1 H, N = (L B_sig)^H (L B_sig)."""
@@ -156,10 +143,9 @@ class SweepEngine:
                 f"degree {max_degree} exceeds lmax_analysis={self.lmax}"
             )
         msig = (max_degree + 1) ** 2
-        b_sig = self.basis[:, :msig]
-        m_mat = L @ b_sig
-        h_mat = self.basis.conj().T @ m_mat
-        ltil = self.plan.analyze_table(m_mat)
+        m_mat = L @ self.plan.basis[:, :msig]
+        h_mat = self.plan.basis.conj().T @ m_mat
+        ltil = self.plan.solve(h_mat)
         n_mat = m_mat.conj().T @ m_mat
         linf = float(np.abs(L).sum(axis=1).max())
         return _DegreeOps(h_mat, ltil, n_mat, linf)
@@ -171,16 +157,16 @@ class SweepEngine:
         ltil_l = ops.ltil[:, sl]
         h_l = ops.h[:, sl]
         n_ll = ops.n[sl, sl]
-        g_ll = self.gram[sl, sl]
+        g_ll = self.plan.gram[sl, sl]
 
         c = ltil_l @ a  # (m, n_signals)
         lf_norm2 = np.einsum("is,ij,js->s", a.conj(), n_ll, a).real
         f_norm2 = np.einsum("is,ij,js->s", a.conj(), g_ll, a).real
-        valid = lf_norm2 > (1e-12 * max(ops.linf, 1.0)) ** 2 * f_norm2
+        valid = lf_norm2 > (1e-12 * ops.linf) ** 2 * f_norm2
 
         n_s = a.shape[1]
         n_r = len(draws.rotations)
-        u_all = np.empty((self.basis.shape[1], n_r * n_s), dtype=np.complex128)
+        u_all = np.empty((ops.h.shape[0], n_r * n_s), dtype=np.complex128)
         d_all = np.empty((2 * l + 1, n_r * n_s), dtype=np.complex128)
         for j, blocks in enumerate(draws.blocks):
             cols = slice(j * n_s, (j + 1) * n_s)
@@ -191,7 +177,7 @@ class SweepEngine:
             u_all[:, cols] = u
             d_all[:, cols] = blocks[l] @ a
 
-        gu = self.gram @ u_all
+        gu = self.plan.gram @ u_all
         hd = h_l @ d_all
         nd = n_ll @ d_all
         num2 = (
@@ -256,13 +242,13 @@ def mean_equivariance_error(s: Sampling, k: int, w: WeightScheme, l: int,
 # ---------------------------------------------------------------------------
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_COARSE_POINTS = 25
+_LOG_TOL = 1e-3
 
 
 def optimize_kernel_width(s: Sampling, k: int, degrees: Sequence[int],
                           cfg: EquivarianceConfig,
-                          engine: Optional[SweepEngine] = None,
-                          coarse_points: int = 25,
-                          log_tol: float = 1e-3) -> float:
+                          engine: Optional[SweepEngine] = None) -> float:
     """Gaussian kernel width minimizing the mean error over the given degrees.
 
     A 25-point log-spaced scan over [t_h/100, 100 t_h] around the
@@ -278,9 +264,12 @@ def optimize_kernel_width(s: Sampling, k: int, degrees: Sequence[int],
         _check_degree(s, l)
     if engine is None:
         engine = SweepEngine(s, _resolve_lmax(s, cfg))
+    return _optimal_width(engine, GaussianGraphFamily(s, k), degrees, cfg)
 
-    draws = {l: engine.draws(k, "gaussian", l, cfg) for l in degrees}
-    family = GaussianGraphFamily(s, k)
+
+def _optimal_width(engine: SweepEngine, family: GaussianGraphFamily,
+                   degrees: list, cfg: EquivarianceConfig) -> float:
+    draws = {l: engine.draws(family.k, "gaussian", l, cfg) for l in degrees}
     cache: dict = {}
 
     def objective(log_t: float) -> float:
@@ -297,11 +286,11 @@ def optimize_kernel_width(s: Sampling, k: int, degrees: Sequence[int],
             cache[log_t] = got
         return got
 
-    t_h = heuristic_kernel_width(s, k)
-    grid = np.log(np.geomspace(t_h / 100.0, 100.0 * t_h, coarse_points))
+    t_h = family.heuristic_width()
+    grid = np.log(np.geomspace(t_h / 100.0, 100.0 * t_h, _COARSE_POINTS))
     values = [objective(x) for x in grid]
     best = int(np.argmin(values))
-    if best in (0, coarse_points - 1):
+    if best in (0, _COARSE_POINTS - 1):
         warnings.warn(
             "objective minimized at the bracket edge; returning best grid point "
             "(objective may be non-unimodal over the scanned range)"
@@ -312,7 +301,7 @@ def optimize_kernel_width(s: Sampling, k: int, degrees: Sequence[int],
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = objective(x1), objective(x2)
-    while hi - lo > log_tol:
+    while hi - lo > _LOG_TOL:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _GOLDEN * (hi - lo)
@@ -419,20 +408,22 @@ def equivariance_sweep(samplings: Sequence[Sampling], ks: Sequence[int],
     def run_pair(s: Sampling, k: int) -> list:
         engine = engines[id(s)]
         usable = [l for l in degrees if 1 <= l <= reliable_band(s)]
+        if not usable:
+            raise InvalidArgumentError(f"no sweep degree lies in the reliable band of {s.scheme}")
         if weight_kind == "gaussian":
+            family = GaussianGraphFamily(s, k)
             if t_mode == "optimal":
-                t = optimize_kernel_width(s, k, usable, cfg, engine=engine)
+                t = _optimal_width(engine, family, usable, cfg)
             elif t_mode == "heuristic":
-                t = heuristic_kernel_width(s, k, "half-mean-square")
+                t = family.heuristic_width("half-mean-square")
             elif t_mode == "mean-distance":
-                t = heuristic_kernel_width(s, k, "mean-distance")
+                t = family.heuristic_width("mean-distance")
             else:
                 t = float(t_mode)
-            scheme_w = WeightScheme("gaussian", t)
+            L = family.laplacian(t)
         else:
             t = 0.0
-            scheme_w = WeightScheme("inverse-distance")
-        L = laplacian(build_graph(s, k, scheme_w))
+            L = laplacian(build_graph(s, k, WeightScheme("inverse-distance")))
         ops = engine.degree_ops(L, max(usable))
         rows = []
         for l in usable:

@@ -9,10 +9,12 @@ exactly P operator applications for order P.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial import Chebyshev, Polynomial
+from numpy.polynomial import chebyshev as C
+from numpy.polynomial import polynomial as P
 
 from .errors import InvalidArgumentError
 from .samplings import Sampling
@@ -72,29 +74,51 @@ def filter_apply(L, h: FilterCoeffs, f: np.ndarray) -> np.ndarray:
     return y
 
 
+# Both basis changes run numpy.polynomial's recurrences on exact Fraction
+# coefficients and round once at the end, so the only error left is the
+# rounding of the stored coefficients themselves.
+
+def _exact(values) -> np.ndarray:
+    values = np.atleast_1d(np.asarray(values, dtype=np.float64))
+    if not np.all(np.isfinite(values)):
+        raise InvalidArgumentError("filter coefficients must be finite")
+    return np.array([Fraction(v) for v in values.tolist()], dtype=object)
+
+
+def _substitute(coeffs: np.ndarray, a: Fraction, b: Fraction) -> np.ndarray:
+    """Monomial coefficients of p(a + b x), where p has coefficients `coeffs`."""
+    out = np.array([Fraction(0)], dtype=object)
+    for c in coeffs[::-1]:  # Horner
+        out = P.polyadd(P.polymul(out, [a, b]), [c])
+    return out
+
+
+def _rounded(exact: np.ndarray, size: int) -> np.ndarray:
+    out = np.zeros(size)  # the recurrences drop trailing zero coefficients
+    out[: len(exact)] = [float(c) for c in exact]
+    return out
+
+
 def chebyshev_from_monomial(coeffs: np.ndarray, lambda_max: float) -> FilterCoeffs:
     """Re-express monomial coefficients in L as Chebyshev coefficients in 2L/lmax - I."""
-    if not lambda_max > 0:
-        raise InvalidArgumentError("lambda_max must be positive")
-    coeffs = np.atleast_1d(np.asarray(coeffs, dtype=np.float64))
-    # L = (lambda_max / 2) (u + 1) with u the rescaled variable
-    p_in_u = Polynomial(coeffs)(Polynomial([lambda_max / 2.0, lambda_max / 2.0]))
-    cheb = p_in_u.convert(kind=Chebyshev)
-    out = np.zeros(coeffs.size)
-    out[: len(cheb.coef)] = cheb.coef
-    return FilterCoeffs("chebyshev", out, lambda_max)
+    if not 0 < lambda_max < np.inf:
+        raise InvalidArgumentError("lambda_max must be positive and finite")
+    exact = _exact(coeffs)
+    half = Fraction(float(lambda_max)) / 2
+    cheb = np.array([Fraction(0)], dtype=object)
+    for c in _substitute(exact, half, half)[::-1]:  # L = (lambda_max / 2) (u + 1)
+        cheb = C.chebadd(C.chebmulx(cheb), c)  # C.poly2cheb's loop, from an exact zero
+    return FilterCoeffs("chebyshev", _rounded(cheb, len(exact)), lambda_max)
 
 
 def monomial_from_chebyshev(h: FilterCoeffs) -> FilterCoeffs:
     """Inverse basis change, back to monomial coefficients in L."""
     if h.basis != "chebyshev":
         raise InvalidArgumentError("expected a chebyshev filter")
-    p_in_u = Chebyshev(h.coeffs).convert(kind=Polynomial)
     # u = (2 / lambda_max) L - 1
-    p_in_l = p_in_u(Polynomial([-1.0, 2.0 / h.lambda_max]))
-    out = np.zeros(h.coeffs.size)
-    out[: len(p_in_l.coef)] = p_in_l.coef
-    return FilterCoeffs("monomial", out)
+    p_in_l = _substitute(C.cheb2poly(_exact(h.coeffs)), Fraction(-1),
+                         2 / Fraction(float(h.lambda_max)))
+    return FilterCoeffs("monomial", _rounded(p_in_l, h.coeffs.size))
 
 
 # ---------------------------------------------------------------------------

@@ -49,32 +49,6 @@ class Graph:
     weights: WeightScheme
 
 
-def knn_edges(s: Sampling, k: int) -> np.ndarray:
-    """(n, k) indices of each vertex's k nearest neighbors by chordal distance.
-
-    Self-pairs are excluded. Ties are broken deterministically toward the
-    lower index. The result is directed; build_graph symmetrizes by union.
-    """
-    n = s.n
-    if not 1 <= k < n:
-        raise InvalidArgumentError(f"need 1 <= k < n, got k={k}, n={n}")
-    tree = cKDTree(s.points)
-    # query a few extra neighbors so equidistant ties can be re-ranked by index
-    kq = min(n, k + 9)
-    _, idx = tree.query(s.points, k=kq)
-    diffs = s.points[idx] - s.points[:, None, :]
-    d2 = np.einsum("ijk,ijk->ij", diffs, diffs)
-    d2[idx == np.arange(n)[:, None]] = -1.0  # self first, dropped below
-    order = np.lexsort((idx, d2), axis=1)
-    rows = np.arange(n)[:, None]
-    return idx[rows, order][:, 1 : k + 1].astype(np.int64)
-
-
-def _pair_distances(s: Sampling, neighbors: np.ndarray) -> np.ndarray:
-    diffs = s.points[neighbors] - s.points[:, None, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs))
-
-
 _TIE_REL_TOL = 1e-12
 
 
@@ -85,13 +59,14 @@ def knn_support(s: Sampling, k: int):
     Including every vertex tied with the k-th distance keeps the support a
     pure function of pairwise distances, so any rotation that permutes the
     sampling permutes the graph exactly. Vertices at tie boundaries may select
-    slightly more than k neighbors.
+    slightly more than k neighbors. Each vertex's neighbors come out ranked by
+    (squared distance, index); knn_edges and the heuristic widths read this.
     """
     n = s.n
     if not 1 <= k < n:
         raise InvalidArgumentError(f"need 1 <= k < n, got k={k}, n={n}")
     tree = cKDTree(s.points)
-    pad = 16
+    pad = 8
     while True:
         kq = min(n, k + 1 + pad)
         dist, idx = tree.query(s.points, k=kq)
@@ -101,10 +76,29 @@ def knn_support(s: Sampling, k: int):
         pad *= 2  # a tie group straddles the query window; widen it
     keep = (dist <= thresh[:, None]) & (idx != np.arange(n)[:, None])
     rows = np.repeat(np.arange(n, dtype=np.int64), keep.sum(axis=1))
-    cols = idx[keep]
-    diffs = s.points[rows] - s.points[cols]
-    dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-    return rows, cols, dists
+    diffs = s.points[rows] - s.points[idx[keep]]
+    d2 = np.full(idx.shape, np.inf)  # dropped entries rank last
+    d2[keep] = np.einsum("ij,ij->i", diffs, diffs)
+    order = np.lexsort((idx, d2), axis=1)
+    d2 = np.take_along_axis(d2, order, axis=1)
+    keep = d2 < np.inf
+    return rows, np.take_along_axis(idx, order, axis=1)[keep], np.sqrt(d2[keep])
+
+
+def _k_nearest(support, k: int):
+    """(n, k) indices and distances of each vertex's first k support entries."""
+    rows, cols, dists = support
+    pos = np.flatnonzero(np.diff(rows, prepend=-1))[:, None] + np.arange(k)
+    return cols[pos], dists[pos]
+
+
+def knn_edges(s: Sampling, k: int) -> np.ndarray:
+    """(n, k) indices of each vertex's k nearest neighbors by chordal distance.
+
+    Self-pairs are excluded. Ties are broken deterministically toward the
+    lower index. The result is directed; build_graph symmetrizes by union.
+    """
+    return _k_nearest(knn_support(s, k), k)[0]
 
 
 def _weights_from_distances(dists: np.ndarray, w: WeightScheme) -> np.ndarray:
@@ -144,26 +138,35 @@ def laplacian(g: Graph) -> sp.csr_matrix:
 
 
 class GaussianGraphFamily:
-    """kNN structure computed once, Gaussian Laplacians built for many widths.
+    """kNN support computed once; Gaussian graphs for many widths and the
+    heuristic widths all derive from it.
 
     Kernel-width searches evaluate dozens of widths on one sampling; the
-    neighbor sets and distances do not depend on t, so they are cached here.
+    neighbor sets and distances do not depend on t, so they are kept here.
     """
 
     def __init__(self, s: Sampling, k: int):
         self.sampling = s
         self.k = k
-        self._rows, self._cols, self._dists = knn_support(s, k)
+        self._support = knn_support(s, k)
 
     def graph(self, t: float) -> Graph:
-        if not t > 0:
-            raise InvalidArgumentError("gaussian kernel width must be positive")
-        vals = _weights_from_distances(self._dists, WeightScheme("gaussian", t))
-        return _assemble(self.sampling.n, self._rows, self._cols, vals,
-                         self.k, WeightScheme("gaussian", t))
+        w = WeightScheme("gaussian", t)
+        rows, cols, dists = self._support
+        return _assemble(self.sampling.n, rows, cols, _weights_from_distances(dists, w),
+                         self.k, w)
 
     def laplacian(self, t: float) -> sp.csr_matrix:
         return laplacian(self.graph(t))
+
+    def heuristic_width(self, kind: str = "half-mean-square") -> float:
+        """heuristic_kernel_width of this family's sampling and k."""
+        if kind not in KERNEL_HEURISTICS:
+            raise InvalidArgumentError(f"unknown heuristic {kind!r}")
+        dist = _k_nearest(self._support, self.k)[1]
+        if kind == "half-mean-square":
+            return float(0.5 * np.mean(dist**2))
+        return float(np.mean(dist))
 
 
 def heuristic_kernel_width(s: Sampling, k: int, kind: str = "half-mean-square") -> float:
@@ -173,13 +176,7 @@ def heuristic_kernel_width(s: Sampling, k: int, kind: str = "half-mean-square") 
     directed kNN pairs; 'mean-distance' is the plain average distance. Both
     conventions appear in practice, so each is exposed under its own name.
     """
-    if kind not in KERNEL_HEURISTICS:
-        raise InvalidArgumentError(f"unknown heuristic {kind!r}")
-    neighbors = knn_edges(s, k)
-    dist = _pair_distances(s, neighbors)
-    if kind == "half-mean-square":
-        return float(0.5 * np.mean(dist**2))
-    return float(np.mean(dist))
+    return GaussianGraphFamily(s, k).heuristic_width(kind)
 
 
 def largest_eigenvalue(L, tol: float = 1e-6, max_iter: int = 20000) -> float:

@@ -15,15 +15,11 @@ from typing import Optional, Union
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import (
-    IllPosedAnalysisError,
-    InvalidArgumentError,
-    NumericalFailureError,
-    UndefinedNormalizationError,
-)
+from .errors import IllPosedAnalysisError, InvalidArgumentError, NumericalFailureError
 from .samplings import Sampling, reliable_band
 
 _CONDITION_LIMIT = 1e12
+_RIDGE_REL = 1e-12
 
 
 def coeff_index(l: int, m: int) -> int:
@@ -235,8 +231,7 @@ class AnalysisPlan:
     operator.
     """
 
-    def __init__(self, s: Sampling, lmax: int, basis: Optional[np.ndarray] = None,
-                 ridge_rel: float = 1e-12):
+    def __init__(self, s: Sampling, lmax: int):
         ncoef = (lmax + 1) ** 2
         if ncoef > s.n:
             raise InvalidArgumentError(
@@ -244,9 +239,9 @@ class AnalysisPlan:
             )
         self.sampling = s
         self.lmax = lmax
-        self.basis = basis if basis is not None else evaluate_basis(s, lmax)
+        self.basis = evaluate_basis(s, lmax)
         self.gram = self.basis.conj().T @ self.basis
-        ridge = ridge_rel * float(np.mean(self.gram.diagonal().real))
+        ridge = _RIDGE_REL * float(np.mean(self.gram.diagonal().real))
         self._cho = sla.cho_factor(self.gram + ridge * np.eye(ncoef), lower=False)
         diag = np.abs(np.diag(self._cho[0]))
         self.condition_estimate = float((diag.max() / diag.min()) ** 2)
@@ -259,7 +254,11 @@ class AnalysisPlan:
 
     def analyze_table(self, signal: np.ndarray) -> np.ndarray:
         """Least-squares coefficient table(s) for pixel values (n,) or (n, cols)."""
-        return sla.cho_solve(self._cho, self.basis.conj().T @ signal)
+        return self.solve(self.basis.conj().T @ signal)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """(G + ridge I)^-1 rhs from the Cholesky factor."""
+        return sla.cho_solve(self._cho, rhs)
 
     def synthesize_values(self, values: np.ndarray) -> np.ndarray:
         return self.basis @ values
@@ -277,16 +276,14 @@ def analysis(s: Sampling, signal: np.ndarray, lmax: int,
 
 
 def synthesis(s: Sampling, coeffs: HarmonicCoeffs,
-              plan: Optional[AnalysisPlan] = None,
-              basis: Optional[np.ndarray] = None) -> np.ndarray:
+              plan: Optional[AnalysisPlan] = None) -> np.ndarray:
     """Pixel values sum_lm a_lm Y_lm(x_i) of a conjugate-symmetric table."""
     scale = float(np.abs(coeffs.values).max()) if coeffs.values.size else 0.0
     if scale > 0 and coeffs.conjugate_symmetry_defect() > 1e-10 * scale:
         raise InvalidArgumentError(
             "coefficients are not conjugate-symmetric; synthesis would be complex"
         )
-    if basis is None:
-        basis = plan.basis if plan is not None else evaluate_basis(s, coeffs.lmax)
+    basis = plan.basis if plan is not None else evaluate_basis(s, coeffs.lmax)
     values = basis @ coeffs.values
     return values.real
 
@@ -350,8 +347,7 @@ def draw_degree_coeffs(l: int, rng: np.random.Generator) -> np.ndarray:
     return block
 
 
-def random_degree_signal(s: Sampling, l: int, seed,
-                         basis: Optional[np.ndarray] = None) -> np.ndarray:
+def random_degree_signal(s: Sampling, l: int, seed) -> np.ndarray:
     """Random real signal made of degree-l harmonics only.
 
     l must lie within the sampling's reliable band (3*Nside-1 for HEALPix,
@@ -363,10 +359,7 @@ def random_degree_signal(s: Sampling, l: int, seed,
         )
     rng = _as_rng(seed)
     block = draw_degree_coeffs(l, rng)
-    if basis is None:
-        basis = evaluate_basis(s, l)
-    cols = basis[:, degree_slice(l)] if basis.shape[1] >= (l + 1) ** 2 else basis
-    return (cols @ block).real
+    return (evaluate_basis(s, l)[:, degree_slice(l)] @ block).real
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +387,3 @@ def quadrature_energy(s: Sampling, signal: np.ndarray) -> float:
         raise InvalidArgumentError("quadrature weights are defined for equiangular samplings")
     w = equiangular_quadrature_weights(s.resolution)
     return float(np.sum(w * np.abs(signal) ** 2))
-
-
-def undefined_if_zero(norm_value: float, what: str) -> float:
-    """Guard used by equivariance metrics: raise if a normalizing term vanishes."""
-    if norm_value == 0.0 or not np.isfinite(norm_value):
-        raise UndefinedNormalizationError(f"{what} has zero norm; error metric undefined")
-    return norm_value

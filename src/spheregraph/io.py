@@ -50,15 +50,18 @@ def write_sparse_csv(matrix, path, comments: Optional[Sequence[str]] = None) -> 
 
 
 def read_sparse_csv(path):
+    """Inverse of write_sparse_csv; the `n,nnz` line must match the triplets."""
     with open(path) as fh:
-        rows = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
+        rows = list(_data_lines(fh))
     n, nnz = (int(v) for v in rows[0].split(","))
-    data = np.zeros(nnz)
-    ii = np.zeros(nnz, dtype=np.int64)
-    jj = np.zeros(nnz, dtype=np.int64)
-    for idx, line in enumerate(rows[1:]):
-        a, b, v = line.split(",")
-        ii[idx], jj[idx], data[idx] = int(a), int(b), float(v)
+    triplets = [line.split(",") for line in rows[1:]]
+    if len(triplets) != nnz:
+        raise InvalidArgumentError(f"{path}: header announces {nnz} entries, found {len(triplets)}")
+    ii = np.array([int(a) for a, _, _ in triplets], dtype=np.int64)
+    jj = np.array([int(b) for _, b, _ in triplets], dtype=np.int64)
+    data = np.array([float(v) for _, _, v in triplets])
+    if np.any((ii < 0) | (ii >= n) | (jj < 0) | (jj >= n)):
+        raise InvalidArgumentError(f"{path}: entry index outside [0, {n})")
     return sp.coo_matrix((data, (ii, jj)), shape=(n, n)).tocsr()
 
 
@@ -115,6 +118,8 @@ def read_signal_csv(path) -> np.ndarray:
                 continue
             out.append((int(row[0]), float(row[1])))
     out.sort()
+    if [i for i, _ in out] != list(range(len(out))):
+        raise InvalidArgumentError(f"{path}: signal indices must be 0..n-1, each once")
     return np.array([v for _, v in out])
 
 

@@ -118,6 +118,18 @@ class TestFilterAndPool:
         lap = laplacian(build_graph(s, 8, WeightScheme("gaussian", heuristic_kernel_width(s, 8))))
         np.testing.assert_allclose(read_signal_csv(out), filter_apply(lap, h, f), atol=1e-12)
 
+    def test_chebyshev_spec_needs_lambda_max(self, tmp_path):
+        spec = tmp_path / "h.csv"
+        spec.write_text("basis,P,lambda_max,alpha_0,alpha_1\nchebyshev,1,,1.0,0.5\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "spheregraph.cli", "filter", "--scheme", "healpix",
+             "--nside", "2", "--k", "4", "--spec", str(spec), "--degree", "2",
+             "--out", str(tmp_path / "y.csv")],
+            capture_output=True, text=True)
+        assert result.returncode == 2
+        assert "chebyshev filters need lambda_max > 0" in result.stderr
+        assert not (tmp_path / "y.csv").exists()
+
     def test_pool_average(self, runner, tmp_path):
         s = healpix_sampling(2, "nested")
         f = np.arange(s.n, dtype=float)

@@ -72,6 +72,15 @@ class TestEquivarianceError:
         scaled = equivariance_error(lap, lambda v: v[perm], c * f)
         assert scaled == pytest.approx(base, rel=1e-9, abs=1e-30)
 
+    @pytest.mark.parametrize("c", [1e-20, 1.0, 1e20])
+    def test_scale_invariance_in_laplacian(self, hp4_setup, c):
+        s, lap = hp4_setup
+        op = RotationOperator(s, random_rotation(3), 8)
+        f = random_degree_signal(s, 4, 1)
+        assert equivariance_error(c * lap, op, f) == pytest.approx(
+            equivariance_error(lap, op, f), rel=1e-12
+        )
+
     def test_automorphism_exactness(self, hp4_setup):
         s, lap = hp4_setup
         perm = rotation_permutation(s, z_rotation_matrix(np.pi / 2))
@@ -125,11 +134,21 @@ class TestMeanEquivarianceError:
         for g in draws.rotations:
             op = RotationOperator(s, g, 11, plan=engine.plan)
             for i in range(draws.signals.shape[1]):
-                f = (engine.basis[:, degree_slice(3)] @ draws.signals[:, i]).real
+                f = (engine.plan.basis[:, degree_slice(3)] @ draws.signals[:, i]).real
                 errs.append(equivariance_error(lap, op, f))
         assert fast.samples == len(errs)
         assert fast.mean == pytest.approx(np.mean(errs), rel=1e-6)
         assert fast.std == pytest.approx(np.std(errs, ddof=1), rel=1e-5)
+
+    @pytest.mark.parametrize("c", [1e-20, 1.0, 1e20])
+    def test_cell_error_scale_invariance_in_laplacian(self, hp4_setup, c):
+        s, lap = hp4_setup
+        engine = SweepEngine(s, 11)
+        draws = engine.draws(8, "gaussian", 3, EquivarianceConfig(4, 3, 17, 11))
+        base = engine.cell_error(engine.degree_ops(lap, 3), draws, 3)
+        scaled = engine.cell_error(engine.degree_ops(c * lap, 3), draws, 3)
+        assert scaled.samples == base.samples == 12
+        assert scaled.mean == pytest.approx(base.mean, rel=1e-12)
 
     def test_samples_counted(self, hp4_setup):
         s, _ = hp4_setup
@@ -282,3 +301,6 @@ class TestSweepDriver:
                                   "heuristic", [2, 5, 9], cfg)
         # band of nside=2 is 5: degree 9 cells must be dropped
         assert [r.ell for r in rows] == [2, 5]
+        for t_mode in ("optimal", "heuristic"):
+            with pytest.raises(InvalidArgumentError):
+                equivariance_sweep([healpix_sampling(2)], [6], "gaussian", t_mode, [9], cfg)

@@ -292,8 +292,9 @@ def opt_t(ctx, scheme, nside, bandwidth, level, n, indexing, k, degrees,
     for r in resolutions:
         s = _sampling_at(scheme, r, indexing, ctx.obj["seed"])
         degs = _parse_degrees(degrees, samplings.reliable_band(s))
-        t_opt = equivariance.optimize_kernel_width(s, k, degs, cfg)
-        t_heur = graphs.heuristic_kernel_width(s, k, "half-mean-square")
+        family = graphs.GaussianGraphFamily(s, k)
+        t_opt = equivariance.optimize_kernel_width(s, k, degs, cfg, family=family)
+        t_heur = family.heuristic_width("half-mean-square")
         rows.append((s.scheme, s.n, k, t_opt, t_heur))
         pairs.append((s.n, t_opt))
     beta, prefactor, r2 = equivariance.fit_power_law(pairs)

@@ -28,7 +28,8 @@ from .harmonics import (
     AnalysisPlan,
     Rotation,
     degree_slice,
-    draw_degree_coeffs,
+    draw_real_degree,
+    evaluate_real_basis,
     random_rotation,
     wigner_D_blocks,
 )
@@ -105,7 +106,11 @@ def _cell_seed(seed: int, s: Sampling, k: int, weight_kind: str, l: int) -> np.r
 
 
 class _CellDraws:
-    """Frozen random draws for one sweep cell, reusable across kernel widths."""
+    """Frozen random draws for one sweep cell, reusable across kernel widths.
+
+    Signals are real-basis degree-l blocks; blocks[l'] stacks the real Wigner
+    blocks of degree l' of every rotation, shape (n_rotations, 2l'+1, 2l'+1).
+    """
 
     def __init__(self, s: Sampling, k: int, weight_kind: str, l: int,
                  cfg: EquivarianceConfig, lmax: int):
@@ -113,19 +118,20 @@ class _CellDraws:
         sig_rng = np.random.default_rng(sig_ss)
         rot_rng = np.random.default_rng(rot_ss)
         self.signals = np.column_stack(
-            [draw_degree_coeffs(l, sig_rng) for _ in range(cfg.n_signals)]
+            [draw_real_degree(l, sig_rng) for _ in range(cfg.n_signals)]
         )  # (2l+1, n_signals)
         self.rotations = [random_rotation(rot_rng) for _ in range(cfg.n_rotations)]
-        self.blocks = [wigner_D_blocks(lmax, g) for g in self.rotations]
+        self.blocks = wigner_D_blocks(lmax, self.rotations)
 
 
 class SweepEngine:
     """Shared factorization for Monte-Carlo equivariance estimates.
 
-    One engine holds the analysis plan (basis matrix and Gram factorization).
-    It keeps no draws: `draws` rebuilds a cell's draws bit for bit from the
-    cell's seed, and kernel-width optimization holds on to the draws it got,
-    so every width sees identical draws (common random numbers).
+    One engine holds the analysis plan (real basis matrix and Gram
+    factorization); every array it computes is real. It keeps no draws:
+    `draws` rebuilds a cell's draws bit for bit from the cell's seed, and
+    kernel-width optimization holds on to the draws it got, so every width
+    sees identical draws (common random numbers).
     """
 
     def __init__(self, s: Sampling, lmax_analysis: int):
@@ -137,16 +143,16 @@ class SweepEngine:
         return _CellDraws(self.sampling, k, weight_kind, l, cfg, self.lmax)
 
     def degree_ops(self, L, max_degree: int):
-        """t-dependent matrices: H = B^H L B_sig, Ltil = (G+ridge)^-1 H, N = (L B_sig)^H (L B_sig)."""
+        """t-dependent matrices: H = B^T L B_sig, Ltil = (G+ridge)^-1 H, N = (L B_sig)^T (L B_sig)."""
         if max_degree > self.lmax:
             raise InvalidArgumentError(
                 f"degree {max_degree} exceeds lmax_analysis={self.lmax}"
             )
         msig = (max_degree + 1) ** 2
         m_mat = L @ self.plan.basis[:, :msig]
-        h_mat = self.plan.basis.conj().T @ m_mat
+        h_mat = self.plan.basis.T @ m_mat
         ltil = self.plan.solve(h_mat)
-        n_mat = m_mat.conj().T @ m_mat
+        n_mat = m_mat.T @ m_mat
         linf = float(np.abs(L).sum(axis=1).max())
         return _DegreeOps(h_mat, ltil, n_mat, linf)
 
@@ -160,30 +166,27 @@ class SweepEngine:
         g_ll = self.plan.gram[sl, sl]
 
         c = ltil_l @ a  # (m, n_signals)
-        lf_norm2 = np.einsum("is,ij,js->s", a.conj(), n_ll, a).real
-        f_norm2 = np.einsum("is,ij,js->s", a.conj(), g_ll, a).real
+        lf_norm2 = np.einsum("is,ij,js->s", a, n_ll, a)
+        f_norm2 = np.einsum("is,ij,js->s", a, g_ll, a)
         valid = lf_norm2 > (1e-12 * ops.linf) ** 2 * f_norm2
 
+        # column j * n_s + i holds rotation j applied to signal i
         n_s = a.shape[1]
         n_r = len(draws.rotations)
-        u_all = np.empty((ops.h.shape[0], n_r * n_s), dtype=np.complex128)
-        d_all = np.empty((2 * l + 1, n_r * n_s), dtype=np.complex128)
-        for j, blocks in enumerate(draws.blocks):
-            cols = slice(j * n_s, (j + 1) * n_s)
-            u = np.empty_like(c)
-            for lp, blk in enumerate(blocks):
-                slp = degree_slice(lp)
-                u[slp] = blk @ c[slp]
-            u_all[:, cols] = u
-            d_all[:, cols] = blocks[l] @ a
+        u_all = np.empty((ops.h.shape[0], n_r, n_s))
+        for lp, stack in enumerate(draws.blocks):
+            slp = degree_slice(lp)
+            u_all[slp] = np.matmul(stack, c[slp]).transpose(1, 0, 2)
+        u_all = u_all.reshape(-1, n_r * n_s)
+        d_all = np.matmul(draws.blocks[l], a).transpose(1, 0, 2).reshape(-1, n_r * n_s)
 
         gu = self.plan.gram @ u_all
         hd = h_l @ d_all
         nd = n_ll @ d_all
         num2 = (
-            np.einsum("ij,ij->j", u_all.conj(), gu).real
-            - 2.0 * np.einsum("ij,ij->j", u_all.conj(), hd).real
-            + np.einsum("ij,ij->j", d_all.conj(), nd).real
+            np.einsum("ij,ij->j", u_all, gu)
+            - 2.0 * np.einsum("ij,ij->j", u_all, hd)
+            + np.einsum("ij,ij->j", d_all, nd)
         )
         num2 = np.maximum(num2, 0.0)
 
@@ -248,23 +251,30 @@ _LOG_TOL = 1e-3
 
 def optimize_kernel_width(s: Sampling, k: int, degrees: Sequence[int],
                           cfg: EquivarianceConfig,
-                          engine: Optional[SweepEngine] = None) -> float:
+                          engine: Optional[SweepEngine] = None,
+                          family: Optional[GaussianGraphFamily] = None) -> float:
     """Gaussian kernel width minimizing the mean error over the given degrees.
 
     A 25-point log-spaced scan over [t_h/100, 100 t_h] around the
     half-mean-square heuristic t_h locates the basin; golden-section search on
     log t refines it to relative tolerance 1e-3. All objective evaluations use
     identical random draws, and the best evaluated width is returned, so the
-    result never loses to the heuristic on the same draws.
+    result never loses to the heuristic on the same draws. A caller that
+    also needs t_h passes the GaussianGraphFamily(s, k) it built, so the kNN
+    query runs once.
     """
     degrees = list(degrees)
     if not degrees:
         raise InvalidArgumentError("need a non-empty degree list")
     for l in degrees:
         _check_degree(s, l)
+    if family is None:
+        family = GaussianGraphFamily(s, k)
+    elif family.sampling is not s or family.k != k:
+        raise InvalidArgumentError("family must be GaussianGraphFamily(s, k) of this sampling and k")
     if engine is None:
         engine = SweepEngine(s, _resolve_lmax(s, cfg))
-    return _optimal_width(engine, GaussianGraphFamily(s, k), degrees, cfg)
+    return _optimal_width(engine, family, degrees, cfg)
 
 
 def _optimal_width(engine: SweepEngine, family: GaussianGraphFamily,
@@ -366,21 +376,20 @@ def extended_equivariance_check(s: Sampling, t: float, l: int, g: Rotation,
     analytically by rotating its coefficients. Both sides use the scaled
     operator.
     """
-    from .harmonics import evaluate_basis  # local import to keep module load light
-
     probes = np.atleast_2d(np.asarray(probes, dtype=np.float64))
     rng = np.random.default_rng(seed)
-    block = draw_degree_coeffs(l, rng)
+    block = draw_real_degree(l, rng)
 
-    basis_pix = evaluate_basis(s, l)[:, degree_slice(l)]
-    f_pix = (basis_pix @ block).real
+    sl = degree_slice(l)
+    basis_pix = evaluate_real_basis(s, l)[:, sl]
+    f_pix = basis_pix @ block
 
-    rot_block = wigner_D_blocks(l, g)[l] @ block
-    f_rot_pix = (basis_pix @ rot_block).real
+    rot_block = wigner_D_blocks(l, [g])[l][0] @ block
+    f_rot_pix = basis_pix @ rot_block
 
     ginv_probes = probes @ g.matrix  # rows g^{-1} y
-    f_probes_ginv = (evaluate_basis(ginv_probes, l)[:, degree_slice(l)] @ block).real
-    f_rot_probes = (evaluate_basis(probes, l)[:, degree_slice(l)] @ rot_block).real
+    f_probes_ginv = evaluate_real_basis(ginv_probes, l)[:, sl] @ block
+    f_rot_probes = evaluate_real_basis(probes, l)[:, sl] @ rot_block
 
     lhs = extended_laplacian_apply(s, t, f_pix, ginv_probes, f_probes_ginv)
     rhs = extended_laplacian_apply(s, t, f_rot_pix, probes, f_rot_probes)

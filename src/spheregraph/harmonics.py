@@ -5,12 +5,20 @@ so integral(Y_lm * conj(Y_l'm')) = delta. Coefficient tables are flat complex
 arrays of length (lmax+1)^2 indexed by l*l + l + m. Rotations are active ZYZ
 Euler triples g = Rz(alpha) Ry(beta) Rz(gamma); the function-space operator is
 (R(g) f)(x) = f(g^{-1} x), realized on coefficients by Wigner-D blocks.
+
+Inside the package (AnalysisPlan, RotationOperator, the equivariance engine)
+the work is done in the real orthonormal basis R = Y U: R_l0 = Y_l0,
+R_lm = sqrt(2) Re Y_lm and R_l,-m = sqrt(2) Im Y_lm for m > 0. U is one fixed
+unitary per degree, so real tables are r = U^H a and real Wigner blocks are
+U^H D U (Blanco, Florez & Bermejo 1997). Complex tables appear only at the
+HarmonicCoeffs boundary: analysis, synthesis, rotate_coeffs and the CSV files.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 import scipy.linalg as sla
@@ -20,6 +28,7 @@ from .samplings import Sampling, reliable_band
 
 _CONDITION_LIMIT = 1e12
 _RIDGE_REL = 1e-12
+_SQRT2 = np.sqrt(2.0)
 
 
 def coeff_index(l: int, m: int) -> int:
@@ -30,6 +39,38 @@ def coeff_index(l: int, m: int) -> int:
 def degree_slice(l: int) -> slice:
     """Flat positions of all orders of degree l."""
     return slice(l * l, (l + 1) * (l + 1))
+
+
+def _mirror(l: int, ndim: int):
+    """Orders m = 1..l and (-1)^m shaped to broadcast along axis 0 of an ndim array."""
+    m = np.arange(1, l + 1)
+    return m, ((-1.0) ** m)[(slice(None),) + (None,) * (ndim - 1)]
+
+
+def _real_from_complex(a: np.ndarray, l: int) -> np.ndarray:
+    """U^H a along axis 0 of one degree-l block: the real-basis coefficients."""
+    m, sign = _mirror(l, a.ndim)
+    p, q = a[l + m], sign * a[l - m]
+    r = np.empty(a.shape, dtype=np.complex128)
+    r[l] = a[l]
+    r[l + m] = (p + q) / _SQRT2
+    r[l - m] = 1j * (p - q) / _SQRT2
+    return r
+
+
+def _complex_from_real(r: np.ndarray, l: int) -> np.ndarray:
+    """U r along axis 0 of one degree-l block: the complex coefficients."""
+    m, sign = _mirror(l, r.ndim)
+    p, q = r[l + m], r[l - m]
+    a = np.empty(r.shape, dtype=np.complex128)
+    a[l] = r[l]
+    a[l + m] = (p - 1j * q) / _SQRT2
+    a[l - m] = sign * (p + 1j * q) / _SQRT2
+    return a
+
+
+def _by_degree(convert, values: np.ndarray, lmax: int) -> np.ndarray:
+    return np.concatenate([convert(values[degree_slice(l)], l) for l in range(lmax + 1)])
 
 
 @dataclass(frozen=True)
@@ -47,6 +88,15 @@ class HarmonicCoeffs:
             )
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+
+    @classmethod
+    def from_real(cls, lmax: int, real_values: np.ndarray) -> "HarmonicCoeffs":
+        """The complex table a = U r of a real-basis table r."""
+        return cls(lmax, _by_degree(_complex_from_real, np.asarray(real_values), lmax))
+
+    def real_values(self) -> np.ndarray:
+        """The real-basis table r = U^H a (real up to rounding when conjugate-symmetric)."""
+        return _by_degree(_real_from_complex, self.values, self.lmax)
 
     def degree(self, l: int) -> np.ndarray:
         return self.values[degree_slice(l)]
@@ -162,6 +212,23 @@ def evaluate_basis(s: Union[Sampling, np.ndarray], lmax: int) -> np.ndarray:
     return B
 
 
+def evaluate_real_basis(s: Union[Sampling, np.ndarray], lmax: int) -> np.ndarray:
+    """Real orthonormal basis R = Y U: R_l0 = Y_l0, R_lm = sqrt(2) Re Y_lm and
+    R_l,-m = sqrt(2) Im Y_lm for m > 0, at the same flat positions as Y.
+
+    The complex matrix from evaluate_basis is dropped once it is converted.
+    """
+    complex_basis = evaluate_basis(s, lmax)
+    out = np.empty(complex_basis.shape)
+    for l in range(lmax + 1):
+        centre = coeff_index(l, 0)
+        out[:, centre] = complex_basis[:, centre].real
+        pos = complex_basis[:, centre + 1:centre + l + 1]
+        np.multiply(pos.real, _SQRT2, out=out[:, centre + 1:centre + l + 1])
+        np.multiply(pos.imag[:, ::-1], _SQRT2, out=out[:, centre - l:centre])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Wigner rotation
 # ---------------------------------------------------------------------------
@@ -200,8 +267,60 @@ def wigner_D_matrix(l: int, g: Rotation) -> np.ndarray:
     return np.exp(-1j * g.alpha * m)[:, None] * d * np.exp(-1j * g.gamma * m)[None, :]
 
 
-def wigner_D_blocks(lmax: int, g: Rotation) -> list:
-    return [wigner_D_matrix(l, g) for l in range(lmax + 1)]
+_JY_REAL_CACHE: dict = {}
+
+
+def _jy_real_schur(l: int) -> np.ndarray:
+    """Real orthogonal P with d^l(beta) = P M(beta) P^T in the real basis.
+
+    For k = 1..l, columns k-1 and l+k-1 are x = sqrt(2) Re w and
+    y = sqrt(2) Im w, where w = U^H v is the unit eigenvector v of J_y with
+    eigenvalue k written in the real basis; M(beta) turns their plane by
+    k*beta. The last column is the rotation's fixed axis.
+    """
+    got = _JY_REAL_CACHE.get(l)
+    if got is None:
+        w = _real_from_complex(_jy_eigenbasis(l)[1], l)
+        axis = w[:, l]
+        j = int(np.argmax(np.abs(axis)))
+        axis = (axis * np.conj(axis[j]) / abs(axis[j])).real  # real up to its phase
+        turning = w[:, l + 1:]  # eigenvalues 1..l
+        got = np.column_stack([_SQRT2 * turning.real, _SQRT2 * turning.imag, axis])
+        _JY_REAL_CACHE[l] = got
+    return got
+
+
+def wigner_D_blocks(lmax: int, rotations: Sequence[Rotation]) -> list:
+    """Real Wigner blocks U^H D^l(g) U for l = 0..lmax, stacked over rotations.
+
+    Entry l has shape (len(rotations), 2l+1, 2l+1). The y-rotation by beta is
+    one real product P M(beta) P^T; the z-rotations by alpha and gamma turn
+    each (m, -m) pair of rows and of columns by m*alpha and m*gamma.
+    """
+    alpha, beta, gamma = (np.array([getattr(g, name) for g in rotations])
+                          for name in ("alpha", "beta", "gamma"))
+    blocks = []
+    for l in range(lmax + 1):
+        dim = 2 * l + 1
+        p = _jy_real_schur(l)
+        x, y = p[:, :l], p[:, l:2 * l]
+        angle = np.multiply.outer(beta, np.arange(1, l + 1))[:, None, :]
+        c, s = np.cos(angle), np.sin(angle)
+        pm = np.empty((len(rotations), dim, dim))
+        pm[:, :, :l] = x * c + y * s
+        pm[:, :, l:2 * l] = y * c - x * s
+        pm[:, :, 2 * l] = p[:, 2 * l]
+        d = (pm.reshape(-1, dim) @ p.T).reshape(pm.shape)
+        m = np.arange(-l, l + 1)
+        angle = np.multiply.outer(alpha, m)[:, :, None]
+        d = np.cos(angle) * d - np.sin(angle) * d[:, ::-1, :]
+        angle = np.multiply.outer(gamma, m)[:, None, :]
+        blocks.append(d * np.cos(angle) + d[:, :, ::-1] * np.sin(angle))
+    return blocks
+
+
+def _rotation_blocks(lmax: int, g: Rotation) -> list:
+    return [stack[0] for stack in wigner_D_blocks(lmax, [g])]
 
 
 def _apply_blocks(blocks: list, values: np.ndarray) -> np.ndarray:
@@ -214,18 +333,24 @@ def _apply_blocks(blocks: list, values: np.ndarray) -> np.ndarray:
 
 def rotate_coeffs(coeffs: HarmonicCoeffs, g: Rotation) -> HarmonicCoeffs:
     """Rotate a coefficient table: synthesis(rotate_coeffs(a, g)) = f(g^{-1} x)."""
-    return HarmonicCoeffs(coeffs.lmax, _apply_blocks(wigner_D_blocks(coeffs.lmax, g), coeffs.values))
+    rotated = _apply_blocks(_rotation_blocks(coeffs.lmax, g), coeffs.real_values())
+    return HarmonicCoeffs.from_real(coeffs.lmax, rotated)
 
 
 # ---------------------------------------------------------------------------
 # Analysis / synthesis
 # ---------------------------------------------------------------------------
 
+def _physical_memory_bytes() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 class AnalysisPlan:
     """Factorized least-squares analysis for one (sampling, lmax) pair.
 
-    Holds the basis matrix B, the Gram matrix G = B^H B, and a Cholesky factor
-    of G + ridge*I (ridge 1e-12 relative to the mean Gram diagonal). Where a
+    Holds the real basis matrix B (evaluate_real_basis), the Gram matrix
+    G = B^T B, and a Cholesky factor of G + ridge*I (ridge 1e-12 relative to
+    the mean Gram diagonal). Tables in and out are real-basis tables. Where a
     sampling theorem holds the ridge solve reduces to the exact transform;
     elsewhere it is the regularized approximation of the inverse sampling
     operator.
@@ -237,12 +362,23 @@ class AnalysisPlan:
             raise InvalidArgumentError(
                 f"analysis needs (lmax+1)^2 <= n: {ncoef} > {s.n}"
             )
+        # doubles: the real basis (n*m), the complex basis it is converted
+        # from (2*n*m), the Gram matrix and its factor (m*m each)
+        need = 8 * (3 * s.n * ncoef + 2 * ncoef * ncoef)
+        memory = _physical_memory_bytes()
+        if need > memory:
+            raise InvalidArgumentError(
+                f"an analysis plan for n={s.n}, lmax={lmax} needs about {need / 2**30:.1f} GiB, "
+                f"more than this machine's {memory / 2**30:.1f} GiB"
+            )
         self.sampling = s
         self.lmax = lmax
-        self.basis = evaluate_basis(s, lmax)
-        self.gram = self.basis.conj().T @ self.basis
-        ridge = _RIDGE_REL * float(np.mean(self.gram.diagonal().real))
-        self._cho = sla.cho_factor(self.gram + ridge * np.eye(ncoef), lower=False)
+        self.basis = evaluate_real_basis(s, lmax)
+        self.gram = self.basis.T @ self.basis
+        ridge = _RIDGE_REL * float(np.mean(self.gram.diagonal()))
+        shifted = self.gram.copy()
+        shifted[np.diag_indices(ncoef)] += ridge
+        self._cho = sla.cho_factor(shifted, lower=False, overwrite_a=True)
         diag = np.abs(np.diag(self._cho[0]))
         self.condition_estimate = float((diag.max() / diag.min()) ** 2)
         if self.condition_estimate > _CONDITION_LIMIT:
@@ -253,8 +389,8 @@ class AnalysisPlan:
             )
 
     def analyze_table(self, signal: np.ndarray) -> np.ndarray:
-        """Least-squares coefficient table(s) for pixel values (n,) or (n, cols)."""
-        return self.solve(self.basis.conj().T @ signal)
+        """Least-squares real-basis table(s) for pixel values (n,) or (n, cols)."""
+        return self.solve(self.basis.T @ signal)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """(G + ridge I)^-1 rhs from the Cholesky factor."""
@@ -272,7 +408,7 @@ def analysis(s: Sampling, signal: np.ndarray, lmax: int,
         raise InvalidArgumentError(f"signal must have shape ({s.n},)")
     if plan is None:
         plan = AnalysisPlan(s, lmax)
-    return HarmonicCoeffs(lmax, plan.analyze_table(signal.astype(np.complex128)))
+    return HarmonicCoeffs.from_real(lmax, plan.analyze_table(signal))
 
 
 def synthesis(s: Sampling, coeffs: HarmonicCoeffs,
@@ -283,9 +419,8 @@ def synthesis(s: Sampling, coeffs: HarmonicCoeffs,
         raise InvalidArgumentError(
             "coefficients are not conjugate-symmetric; synthesis would be complex"
         )
-    basis = plan.basis if plan is not None else evaluate_basis(s, coeffs.lmax)
-    values = basis @ coeffs.values
-    return values.real
+    basis = plan.basis if plan is not None else evaluate_real_basis(s, coeffs.lmax)
+    return basis @ coeffs.real_values().real
 
 
 class RotationOperator:
@@ -297,11 +432,11 @@ class RotationOperator:
         self.rotation = g
         self.lmax = lmax
         self.plan = plan if plan is not None else AnalysisPlan(s, lmax)
-        self.blocks = wigner_D_blocks(lmax, g)
+        self.blocks = _rotation_blocks(lmax, g)
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        table = self.plan.analyze_table(np.asarray(f, dtype=np.complex128))
-        return (self.plan.synthesize_values(_apply_blocks(self.blocks, table))).real
+        table = self.plan.analyze_table(np.asarray(f, dtype=np.float64))
+        return self.plan.synthesize_values(_apply_blocks(self.blocks, table))
 
     __call__ = apply
 
@@ -336,15 +471,22 @@ def random_rotation(seed) -> Rotation:
     return Rotation(alpha, beta, gamma)
 
 
+def draw_real_degree(l: int, rng: np.random.Generator) -> np.ndarray:
+    """Random real-basis degree-l block: 2l+1 standard-normal components.
+
+    It is U^H of draw_degree_coeffs(l, rng) for the same generator state.
+    """
+    z = rng.standard_normal(2 * l + 1)
+    block = np.empty(2 * l + 1)
+    block[l] = z[0]
+    block[l + 1:] = z[1::2]  # sqrt(2) Re a_lm
+    block[:l] = -z[2::2][::-1]  # -sqrt(2) Im a_lm, stored at -m
+    return block
+
+
 def draw_degree_coeffs(l: int, rng: np.random.Generator) -> np.ndarray:
     """Random conjugate-symmetric degree-l block (standard-normal components)."""
-    block = np.zeros(2 * l + 1, dtype=np.complex128)
-    block[l] = rng.standard_normal()  # m = 0
-    for m in range(1, l + 1):
-        re, im = rng.standard_normal(2)
-        block[l + m] = (re + 1j * im) / np.sqrt(2.0)
-        block[l - m] = ((-1.0) ** m) * np.conj(block[l + m])
-    return block
+    return _complex_from_real(draw_real_degree(l, rng), l)
 
 
 def random_degree_signal(s: Sampling, l: int, seed) -> np.ndarray:
@@ -357,9 +499,8 @@ def random_degree_signal(s: Sampling, l: int, seed) -> np.ndarray:
         raise InvalidArgumentError(
             f"degree {l} outside the reliable band [0, {reliable_band(s)}] of {s.scheme}"
         )
-    rng = _as_rng(seed)
-    block = draw_degree_coeffs(l, rng)
-    return (evaluate_basis(s, l)[:, degree_slice(l)] @ block).real
+    block = draw_real_degree(l, _as_rng(seed))
+    return evaluate_real_basis(s, l)[:, degree_slice(l)] @ block
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,7 @@ def write_coeffs_csv(coeffs: HarmonicCoeffs, path,
 
 
 def read_coeffs_csv(path) -> HarmonicCoeffs:
+    """Inverse of write_coeffs_csv: one row per (l, m) with |m| <= l <= lmax, each once."""
     entries = {}
     lmax = 0
     with open(path) as fh:
@@ -84,8 +85,16 @@ def read_coeffs_csv(path) -> HarmonicCoeffs:
             if row[0] == "l":
                 continue
             l, m = int(row[0]), int(row[1])
+            if abs(m) > l:
+                raise InvalidArgumentError(f"{path}: row (l={l}, m={m}) has |m| > l")
+            if (l, m) in entries:
+                raise InvalidArgumentError(f"{path}: duplicate row (l={l}, m={m})")
             entries[(l, m)] = float(row[2]) + 1j * float(row[3])
             lmax = max(lmax, l)
+    if len(entries) != (lmax + 1) ** 2:
+        raise InvalidArgumentError(
+            f"{path}: {len(entries)} rows, but lmax={lmax} needs all {(lmax + 1) ** 2} (l, m) rows"
+        )
     values = np.zeros((lmax + 1) ** 2, dtype=np.complex128)
     for (l, m), v in entries.items():
         values[coeff_index(l, m)] = v
@@ -135,6 +144,7 @@ def write_filter_csv(h: FilterCoeffs, path,
 
 
 def read_filter_csv(path) -> FilterCoeffs:
+    """Inverse of write_filter_csv: the data row must carry exactly P+1 alphas."""
     with open(path) as fh:
         rows = [r for r in csv.reader(_data_lines(fh))]
     data = None
@@ -146,7 +156,11 @@ def read_filter_csv(path) -> FilterCoeffs:
         raise InvalidArgumentError(f"no filter row found in {path}")
     basis, order = data[0], int(data[1])
     lam = float(data[2]) if data[2] else None
-    coeffs = np.array([float(v) for v in data[3 : 4 + order]])
+    if len(data) - 3 != order + 1:
+        raise InvalidArgumentError(
+            f"{path}: a P={order} filter needs {order + 1} alphas, found {len(data) - 3}"
+        )
+    coeffs = np.array([float(v) for v in data[3:]])
     return FilterCoeffs(basis, coeffs, lam)
 
 

@@ -16,6 +16,7 @@ from spheregraph.equivariance import (
 )
 from spheregraph.errors import InvalidArgumentError, UndefinedNormalizationError
 from spheregraph.graphs import (
+    GaussianGraphFamily,
     WeightScheme,
     build_graph,
     heuristic_kernel_width,
@@ -30,7 +31,9 @@ from spheregraph.harmonics import (
     random_rotation,
 )
 from spheregraph.samplings import (
+    equiangular_sampling,
     healpix_sampling,
+    icosahedral_sampling,
     random_uniform_sampling,
     rotation_permutation,
     z_rotation_matrix,
@@ -121,20 +124,27 @@ class TestMeanEquivarianceError:
         b = mean_equivariance_error(s, 8, w, 3, cfg)
         assert a == b
 
-    def test_matches_per_draw_oracle(self, hp4_setup):
-        # the blocked coefficient-space path must average the direct per-draw metric
-        s, _ = hp4_setup
-        cfg = EquivarianceConfig(4, 3, 123, 11)
+    @pytest.mark.parametrize("sampling, lmax", [
+        pytest.param(lambda: healpix_sampling(4, "ring"), 11, id="healpix-ring"),
+        pytest.param(lambda: healpix_sampling(4, "nested"), 11, id="healpix-nested"),
+        pytest.param(lambda: equiangular_sampling(8), 7, id="equiangular"),
+        pytest.param(lambda: icosahedral_sampling(2), 11, id="icosahedral"),
+    ])
+    def test_matches_per_draw_oracle(self, sampling, lmax):
+        # the blocked real coefficient-space path must average the direct
+        # per-draw metric (pixel-space commutator through RotationOperator)
+        s = sampling()
+        cfg = EquivarianceConfig(4, 3, 123, lmax)
         w = WeightScheme("gaussian", 0.02)
-        engine = SweepEngine(s, 11)
+        engine = SweepEngine(s, lmax)
         fast = mean_equivariance_error(s, 8, w, 3, cfg, engine=engine)
         lap = laplacian(build_graph(s, 8, w))
         draws = engine.draws(8, "gaussian", 3, cfg)
         errs = []
         for g in draws.rotations:
-            op = RotationOperator(s, g, 11, plan=engine.plan)
+            op = RotationOperator(s, g, lmax, plan=engine.plan)
             for i in range(draws.signals.shape[1]):
-                f = (engine.plan.basis[:, degree_slice(3)] @ draws.signals[:, i]).real
+                f = engine.plan.basis[:, degree_slice(3)] @ draws.signals[:, i]
                 errs.append(equivariance_error(lap, op, f))
         assert fast.samples == len(errs)
         assert fast.mean == pytest.approx(np.mean(errs), rel=1e-6)
@@ -182,6 +192,17 @@ class TestOptimizeKernelWidth:
         s = healpix_sampling(2)
         with pytest.raises(InvalidArgumentError):
             optimize_kernel_width(s, 4, [], EquivarianceConfig(2, 2, 0, 5))
+
+    def test_prebuilt_family(self):
+        s = healpix_sampling(2)
+        cfg = EquivarianceConfig(2, 2, 0, 5)
+        family = GaussianGraphFamily(s, 4)
+        assert optimize_kernel_width(s, 4, [2], cfg, family=family) == \
+            optimize_kernel_width(s, 4, [2], cfg)
+        with pytest.raises(InvalidArgumentError):
+            optimize_kernel_width(s, 5, [2], cfg, family=family)
+        with pytest.raises(InvalidArgumentError):
+            optimize_kernel_width(healpix_sampling(2), 4, [2], cfg, family=family)
 
 
 class TestFitPowerLaw:

@@ -10,6 +10,7 @@ from spheregraph.graphs import (
     GaussianGraphFamily,
     Graph,
     WeightScheme,
+    _weights_from_distances,
     build_graph,
     heuristic_kernel_width,
     knn_edges,
@@ -163,10 +164,15 @@ class TestBuildGraph:
     @given(st.floats(0.05, 1.9), st.floats(0.05, 1.9), st.floats(1e-3, 10.0))
     @settings(max_examples=50, deadline=None)
     def test_gaussian_weight_monotone_in_distance(self, d1, d2, t):
-        w1 = np.exp(-(d1**2) / (4 * t))
-        w2 = np.exp(-(d2**2) / (4 * t))
-        if d1 < d2:
-            assert w1 > w2
+        dists = np.array(sorted((d1, d2)))
+        near, far = _weights_from_distances(dists, WeightScheme("gaussian", t))
+        assert near >= far
+        # exp rounds, so exponent arguments a few ulps apart (or weights in
+        # the subnormal range) may tie; beyond 4 eps apart the exact ratio
+        # exp(gap) exceeds the rounding of both weights
+        near_arg, far_arg = -(dists**2) / (4.0 * t)
+        if near_arg - far_arg > 4 * np.finfo(float).eps and far >= np.finfo(float).tiny:
+            assert near > far
 
 
 class TestLaplacian:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from scipy.special import sph_harm_y
@@ -12,8 +14,10 @@ from spheregraph.harmonics import (
     coeff_index,
     degree_slice,
     draw_degree_coeffs,
+    _physical_memory_bytes,
     equiangular_quadrature_weights,
     evaluate_basis,
+    evaluate_real_basis,
     power_spectrum,
     quadrature_energy,
     random_degree_signal,
@@ -21,6 +25,7 @@ from spheregraph.harmonics import (
     rotate_coeffs,
     rotation_operator,
     synthesis,
+    wigner_D_blocks,
     wigner_D_matrix,
 )
 from spheregraph.io import read_coeffs_csv, write_coeffs_csv
@@ -39,6 +44,16 @@ def random_coeffs(lmax: int, seed: int) -> HarmonicCoeffs:
     for l in range(lmax + 1):
         values[degree_slice(l)] = draw_degree_coeffs(l, rng)
     return HarmonicCoeffs(lmax, values)
+
+
+def unitary(l: int) -> np.ndarray:
+    """U of degree l: column j is the complex table of the j-th real unit table."""
+    columns = []
+    for j in range(2 * l + 1):
+        real = np.zeros((l + 1) ** 2)
+        real[l * l + j] = 1.0
+        columns.append(HarmonicCoeffs.from_real(l, real).degree(l))
+    return np.column_stack(columns)
 
 
 class TestBasis:
@@ -60,6 +75,16 @@ class TestBasis:
         for l, m in ((2, 1), (3, -2), (4, 4), (6, 0), (5, -5)):
             ref = sph_harm_y(l, m, theta, phi)
             np.testing.assert_allclose(B[:, coeff_index(l, m)], ref, atol=1e-13)
+
+    def test_real_basis_is_complex_basis_times_unitary(self, random200):
+        B = evaluate_basis(random200, 6)
+        R = evaluate_real_basis(random200, 6)
+        assert R.dtype == np.float64
+        for l in range(7):
+            U = unitary(l)
+            np.testing.assert_allclose(U.conj().T @ U, np.eye(2 * l + 1), atol=1e-15)
+            np.testing.assert_allclose(B[:, degree_slice(l)] @ U, R[:, degree_slice(l)],
+                                       atol=1e-13)
 
     def test_monte_carlo_gram_near_identity(self):
         # (4 pi / n) B^H B approximates the continuous orthonormality relation.
@@ -142,6 +167,15 @@ class TestAnalysisSynthesis:
         with pytest.raises((IllPosedAnalysisError, InvalidArgumentError)):
             AnalysisPlan(s, 5)  # 36 coefficients from 12 pixels
 
+    def test_dense_plan_memory_cliff_rejected(self):
+        s = equiangular_sampling(256)  # n = 262144; the real basis alone is ~137 GB
+        if _physical_memory_bytes() > 2**39:
+            pytest.skip("the plan fits in this machine's memory")
+        start = time.perf_counter()
+        with pytest.raises(InvalidArgumentError, match="needs about 448.0 GiB"):
+            AnalysisPlan(s, 255)
+        assert time.perf_counter() - start < 0.5
+
     def test_condition_estimate_reported(self):
         s = random_uniform_sampling(40, 2)
         try:
@@ -190,6 +224,25 @@ class TestRotations:
             lhs = wigner_D_matrix(l, g1.compose(g2))
             rhs = wigner_D_matrix(l, g1) @ wigner_D_matrix(l, g2)
             np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+    def test_real_blocks_orthogonal_and_compose(self):
+        g1, g2 = random_rotation(1), random_rotation(2)
+        stacks = wigner_D_blocks(25, [g1, g2, g1.compose(g2)])
+        for l in (0, 1, 4, 12, 25):
+            d1, d2, d12 = stacks[l]
+            assert stacks[l].dtype == np.float64
+            np.testing.assert_allclose(d1 @ d1.T, np.eye(2 * l + 1), atol=1e-12)
+            np.testing.assert_allclose(d12, d1 @ d2, atol=1e-10)
+
+    def test_real_blocks_are_converted_complex_blocks(self):
+        rotations = [random_rotation(seed) for seed in range(4)]
+        rotations += [Rotation(0.0, 0.0, 0.0), Rotation(1.2, 0.0, 0.4), Rotation(0.7, np.pi, 0.3)]
+        stacks = wigner_D_blocks(20, rotations)
+        for l in (0, 1, 2, 7, 20):
+            U = unitary(l)
+            for g, block in zip(rotations, stacks[l]):
+                np.testing.assert_allclose(block, U.conj().T @ wigner_D_matrix(l, g) @ U,
+                                           atol=1e-12)
 
     def test_inverse(self):
         g = random_rotation(9)

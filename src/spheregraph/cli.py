@@ -101,6 +101,7 @@ def _build_graph(s, k, weight, t_text):
 
 
 def _input_signal(s, signal, degree, seed):
+    """The --signal file, checked against the sampling, or a random degree-l signal."""
     if (signal is None) == (degree is None):
         raise click.UsageError("provide exactly one of --signal or --degree")
     if signal is not None:
@@ -224,7 +225,7 @@ def psd(ctx, scheme, nside, bandwidth, level, n, indexing, lmax, signal, degree,
 def _parse_degrees(text, band):
     if text == "auto":
         return list(range(1, min(15, band) + 1))
-    degs = [int(v) for v in text.split(",") if v != ""]
+    degs = _int_list(None, None, text)
     if not degs:
         raise click.UsageError("empty degree list")
     return degs
@@ -348,9 +349,7 @@ def pool(ctx, scheme, nside, bandwidth, level, n, indexing, mode, signal, out_ov
     if scheme == "healpix" and indexing != "nested":
         raise click.UsageError("healpix pooling needs --indexing nested")
     s = _build_sampling(scheme, nside, bandwidth, level, n, indexing, ctx.obj["seed"])
-    values = io.read_signal_csv(signal)
-    if values.shape != (s.n,):
-        raise click.UsageError(f"signal has {values.shape[0]} rows, sampling has {s.n}")
+    values = _input_signal(s, signal, None, ctx.obj["seed"])
     pooled = filters.pool(s, values, mode)
     path = _out_path(ctx, "pooled.csv", out_override)
     io.write_signal_csv(pooled, path, _header(

@@ -190,11 +190,19 @@ class TestSweepCommands:
 
 def test_console_entry_exit_codes(tmp_path):
     env_cmd = [sys.executable, "-m", "spheregraph.cli"]
-    bad = subprocess.run(env_cmd + ["sample", "--scheme", "healpix", "--nside", "3",
-                                    "--out", str(tmp_path / "x.csv")],
-                         capture_output=True, text=True)
-    assert bad.returncode == 2
-    assert "power of two" in bad.stderr + bad.stdout
+    signal = tmp_path / "bad_signal.csv"
+    signal.write_text("index,value\n0,1.0\n1,abc\n")
+    for args, message in [
+        (["sample", "--scheme", "healpix", "--nside", "3"], "power of two"),
+        (["opt-t", "--scheme", "healpix", "--nside", "2,4,8", "--k", "8",
+          "--degrees", "1,x"], "'1,x'"),
+        (["pool", "--scheme", "healpix", "--nside", "2", "--indexing", "nested",
+          "--signal", str(signal)], "line 3"),
+    ]:
+        bad = subprocess.run(env_cmd + args + ["--out", str(tmp_path / "x.csv")],
+                             capture_output=True, text=True)
+        assert bad.returncode == 2, bad.stderr
+        assert message in bad.stderr + bad.stdout
     ok = subprocess.run(env_cmd + ["sample", "--scheme", "healpix", "--nside", "2",
                                    "--out", str(tmp_path / "ok.csv")],
                         capture_output=True, text=True)

@@ -1,9 +1,15 @@
-"""Golden-byte oracle for the graph layer.
+"""Golden-byte oracle for the graph layer and the CSV layer.
 
-Each case runs one CLI command at HEALPix nside 8 and compares the sha256 of
-the CSV it writes with a digest recorded before the kNN pipeline was folded
-into a single tree query. A changed digest means changed output bytes: a
-different neighbour set, weight, tie order or float formatting.
+Each case runs one CLI command and compares the sha256 of the CSV it writes
+with a recorded digest. The graph and filter digests were recorded before the
+kNN pipeline was folded into a single tree query; the sample and pool digests
+before the CSV writers were rebuilt around one table writer. A changed digest
+means changed output bytes: a different sampling, neighbour set, weight, tie
+order, pooled value or float formatting.
+
+Commands whose last bits depend on the CPU's BLAS kernels (sht, psd,
+equiv-sweep, opt-t) are left out; tests/test_io.py checks every writer's
+formatting against a per-row reference instead.
 
 The digests hold for IEEE double arithmetic with numpy's float64 exp, sin
 and cos; a platform whose math library rounds differently may need them
@@ -21,6 +27,7 @@ from spheregraph.filters import FilterCoeffs
 from spheregraph.io import write_filter_csv, write_signal_csv
 
 GRAPH = ["graph", "--scheme", "healpix", "--nside", "8", "--k", "8"]
+POOL = ["pool", "--scheme", "healpix", "--nside", "8", "--indexing", "nested", "--signal", "f.csv"]
 
 GOLDEN = {
     "graph-gaussian-heuristic": (
@@ -44,6 +51,26 @@ GOLDEN = {
          "--weight", "gaussian", "--t", "heuristic", "--spec", "h.csv",
          "--signal", "f.csv"],
         "12250953dc174ca0d5962baedf2f08adc2056bc0a4166c45085e373b14d98786",
+    ),
+    "sample-healpix": (
+        ["sample", "--scheme", "healpix", "--nside", "8"],
+        "d23f267214b0b7aaab97057d62bc79caf3528025da2a46489be360c4cafc1da3",
+    ),
+    "sample-equiangular": (
+        ["sample", "--scheme", "equiangular", "--bandwidth", "4"],
+        "b01b6d5e305b542ffc278509555eee04ee0df51103adb20865e1d3efbd70c96f",
+    ),
+    "sample-icosahedral": (
+        ["sample", "--scheme", "icosahedral", "--level", "2"],
+        "661ed4d445f4b816f850d6409ead8d55df5978b52d8e143bbfaf80c5995dff1c",
+    ),
+    "pool-average": (
+        POOL + ["--mode", "average"],
+        "9eed451fb01d26f5e17bca406d32860f1afd49e97958fd538b0e7764e9927558",
+    ),
+    "pool-max": (
+        POOL + ["--mode", "max"],
+        "3244651d5f13fc3f2995cb8fa4eb3c2d446d5c2cfa734fd2e86280f0db586372",
     ),
 }
 

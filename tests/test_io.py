@@ -1,8 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from spheregraph import io
+from spheregraph.equivariance import SweepRow
 from spheregraph.errors import InvalidArgumentError
+from spheregraph.filters import FilterCoeffs
+from spheregraph.harmonics import HarmonicCoeffs, coeff_index
 from spheregraph.io import read_coeffs_csv, read_filter_csv, read_signal_csv, read_sparse_csv
+from spheregraph.samplings import Sampling
 
 
 def write(path, text):
@@ -88,3 +96,160 @@ class TestReadFilterCsv:
         path = write(tmp_path / "h.csv", f"basis,P,lambda_max\n{row}\n")
         with pytest.raises(InvalidArgumentError):
             read_filter_csv(path)
+
+
+@pytest.mark.parametrize("reader, text, where", [
+    pytest.param(read_signal_csv, "index,value\n1\n", "line 2", id="signal-short-row"),
+    pytest.param(read_signal_csv, "index,value\n1,abc\n", "line 2", id="signal-non-numeric"),
+    pytest.param(read_signal_csv, "index,value\n0,1.0,7\n", "line 2", id="signal-extra-field"),
+    pytest.param(read_coeffs_csv, "l,m,re,im\n0,0,1.5\n", "line 2", id="coeffs-short-row"),
+    pytest.param(read_sparse_csv, "", "n,nnz", id="sparse-empty-file"),
+    pytest.param(read_sparse_csv, "4,1,0\n0,1,0.5\n", "line 1", id="sparse-three-field-count"),
+    pytest.param(read_filter_csv, "basis,P,lambda_max\nmonomial,x,,1.0\n", "line 2",
+                 id="filter-non-integer-order"),
+])
+def test_malformed_row_names_file_and_line(tmp_path, reader, text, where):
+    path = write(tmp_path / "bad.csv", text)
+    with pytest.raises(InvalidArgumentError) as exc:
+        reader(path)
+    assert str(path) in str(exc.value)
+    assert where in str(exc.value)
+
+
+# Reference writers: the per-row f-string formatting the table writer replaced.
+# Every writer must reproduce their bytes exactly.
+
+def _ref_fmt(x):
+    return f"{float(x):.17g}"
+
+
+def _ref_open(path, comments):
+    fh = open(path, "w", newline="")
+    for line in comments or ():
+        fh.write(f"# {line}\n")
+    return fh
+
+
+def ref_write_sampling_csv(s, path, comments=None):
+    with _ref_open(path, comments) as fh:
+        fh.write("index,x,y,z\n")
+        for i, (x, y, z) in enumerate(s.points):
+            fh.write(f"{i},{_ref_fmt(x)},{_ref_fmt(y)},{_ref_fmt(z)}\n")
+
+
+def ref_write_sparse_csv(matrix, path, comments=None):
+    coo = sp.coo_matrix(matrix)
+    order = np.lexsort((coo.col, coo.row))
+    with _ref_open(path, comments) as fh:
+        fh.write(f"{coo.shape[0]},{coo.nnz}\n")
+        for i in order:
+            fh.write(f"{coo.row[i]},{coo.col[i]},{_ref_fmt(coo.data[i])}\n")
+
+
+def ref_write_coeffs_csv(coeffs, path, comments=None):
+    with _ref_open(path, comments) as fh:
+        fh.write("l,m,re,im\n")
+        for l in range(coeffs.lmax + 1):
+            for m in range(-l, l + 1):
+                a = coeffs.values[coeff_index(l, m)]
+                fh.write(f"{l},{m},{_ref_fmt(a.real)},{_ref_fmt(a.imag)}\n")
+
+
+def ref_write_spectrum_csv(spectrum, path, comments=None):
+    with _ref_open(path, comments) as fh:
+        fh.write("l,C_l\n")
+        for l, c in enumerate(spectrum):
+            fh.write(f"{l},{_ref_fmt(c)}\n")
+
+
+def ref_write_signal_csv(values, path, comments=None):
+    with _ref_open(path, comments) as fh:
+        fh.write("index,value\n")
+        for i, v in enumerate(values):
+            fh.write(f"{i},{_ref_fmt(v)}\n")
+
+
+def ref_write_filter_csv(h, path, comments=None):
+    names = ",".join(f"alpha_{i}" for i in range(h.order + 1))
+    lam = "" if h.lambda_max is None else _ref_fmt(h.lambda_max)
+    with _ref_open(path, comments) as fh:
+        fh.write(f"basis,P,lambda_max,{names}\n")
+        alphas = ",".join(_ref_fmt(a) for a in h.coeffs)
+        fh.write(f"{h.basis},{h.order},{lam},{alphas}\n")
+
+
+def ref_write_sweep_csv(rows, path, comments=None):
+    with _ref_open(path, comments) as fh:
+        fh.write("scheme,n,k,weight,t,ell,mean_err,std_err,samples\n")
+        for r in rows:
+            fh.write(
+                f"{r.scheme},{r.n},{r.k},{r.weight},{_ref_fmt(r.t)},{r.ell},"
+                f"{_ref_fmt(r.mean_err)},{_ref_fmt(r.std_err)},{r.samples}\n"
+            )
+
+
+def ref_write_kernel_width_csv(rows, path, comments=None, footer=None):
+    with _ref_open(path, comments) as fh:
+        fh.write("scheme,n,k,t_opt,t_heuristic\n")
+        for scheme, n, k, t_opt, t_heur in rows:
+            fh.write(f"{scheme},{n},{k},{_ref_fmt(t_opt)},{_ref_fmt(t_heur)}\n")
+        for line in footer or ():
+            fh.write(f"# {line}\n")
+
+
+SPECIAL = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308,
+           -1.7976931348623157e308, 2.2250738585072014e-308, 0.1, -1 / 3]
+BIG = 2**31  # int64 indices from here up do not fit in 32 bits
+
+
+def _writer_args(name, n):
+    """Arguments for writer `name` giving a table of about n rows built from SPECIAL."""
+    v = np.resize(np.array(SPECIAL), n)
+    w = v[::-1].copy()
+    ints = BIG + np.arange(n, dtype=np.int64) * 7919
+    if name == "sampling":
+        return (Sampling(np.column_stack([v, w, -v]), "custom", n),)
+    if name == "sparse":
+        shape = (int(BIG + 7919 * n + 1),) * 2
+        rows = np.roll(ints, 3)  # unsorted, so the writer's row-major order shows
+        return (sp.coo_matrix((v, (rows, ints)), shape=shape),)
+    if name == "coeffs":
+        lmax = math.isqrt(max(n - 1, 0))  # (lmax + 1)**2 >= n rows
+        m = (lmax + 1) ** 2
+        pairs = np.column_stack([np.resize(v, m), np.resize(w, m)])  # no complex arithmetic
+        return (HarmonicCoeffs(lmax, pairs.view(np.complex128)[:, 0]),)
+    if name == "spectrum":
+        return (v,)
+    if name == "signal":
+        return (w,)
+    if name == "filter":
+        return (FilterCoeffs("chebyshev", np.resize(v, max(n, 1)), 5e-324),)
+    if name == "sweep":
+        return ([SweepRow("healpix-ring", int(a), 8, "gaussian", float(x), 3, float(y),
+                          float(x), 100) for a, x, y in zip(ints, v, w)],)
+    return ([("healpix-ring", int(a), 40, float(x), float(y)) for a, x, y in zip(ints, v, w)],)
+
+
+WRITERS = {
+    "sampling": (io.write_sampling_csv, ref_write_sampling_csv),
+    "sparse": (io.write_sparse_csv, ref_write_sparse_csv),
+    "coeffs": (io.write_coeffs_csv, ref_write_coeffs_csv),
+    "spectrum": (io.write_spectrum_csv, ref_write_spectrum_csv),
+    "signal": (io.write_signal_csv, ref_write_signal_csv),
+    "filter": (io.write_filter_csv, ref_write_filter_csv),
+    "sweep": (io.write_sweep_csv, ref_write_sweep_csv),
+    "kernel_width": (io.write_kernel_width_csv, ref_write_kernel_width_csv),
+}
+
+
+@pytest.mark.parametrize("rows", [len(SPECIAL), 0, 2 * io._CHUNK_ROWS + 3],
+                         ids=["special-values", "zero-rows", "past-two-chunks"])
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_writer_matches_reference_bytes(tmp_path, name, rows):
+    writer, reference = WRITERS[name]
+    args = _writer_args(name, rows)
+    comments = ["spheregraph 0.1.0", "t=50%"]  # '%' must pass through verbatim
+    extra = {"footer": ["power-law beta=nan", "r2=100%"]} if name == "kernel_width" else {}
+    writer(*args, tmp_path / "new.csv", comments, **extra)
+    reference(*args, tmp_path / "ref.csv", comments, **extra)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -45,7 +45,6 @@ from .harmonics import (
     random_degree_signal,
     random_rotation,
     rotate_coeffs,
-    rotation_operator,
     synthesis,
     wigner_D_matrix,
     wigner_d_matrix,

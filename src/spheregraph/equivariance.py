@@ -245,7 +245,6 @@ def mean_equivariance_error(s: Sampling, k: int, w: WeightScheme, l: int,
 # ---------------------------------------------------------------------------
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-_COARSE_POINTS = 25
 _LOG_TOL = 1e-3
 
 
@@ -255,13 +254,15 @@ def optimize_kernel_width(s: Sampling, k: int, degrees: Sequence[int],
                           family: Optional[GaussianGraphFamily] = None) -> float:
     """Gaussian kernel width minimizing the mean error over the given degrees.
 
-    A 25-point log-spaced scan over [t_h/100, 100 t_h] around the
-    half-mean-square heuristic t_h locates the basin; golden-section search on
-    log t refines it to relative tolerance 1e-3. All objective evaluations use
-    identical random draws, and the best evaluated width is returned, so the
-    result never loses to the heuristic on the same draws. A caller that
-    also needs t_h passes the GaussianGraphFamily(s, k) it built, so the kNN
-    query runs once.
+    One golden-section search on log t over [t_h/100, 100 t_h], started at
+    the half-mean-square heuristic t_h, to a log-width tolerance of 1e-3 (at
+    most 21 objective evaluations). t_h is evaluated first, all evaluations
+    use identical random draws, and the best evaluated width is returned, so
+    the result never loses to the heuristic on the same draws.
+    A result within the tolerance of either end of the range is the bracket
+    edge and draws a warning: the minimum may lie outside. A caller that also
+    needs t_h passes the GaussianGraphFamily(s, k) it built, so the kNN query
+    runs once.
     """
     degrees = list(degrees)
     if not degrees:
@@ -274,54 +275,39 @@ def optimize_kernel_width(s: Sampling, k: int, degrees: Sequence[int],
         raise InvalidArgumentError("family must be GaussianGraphFamily(s, k) of this sampling and k")
     if engine is None:
         engine = SweepEngine(s, _resolve_lmax(s, cfg))
-    return _optimal_width(engine, family, degrees, cfg)
-
-
-def _optimal_width(engine: SweepEngine, family: GaussianGraphFamily,
-                   degrees: list, cfg: EquivarianceConfig) -> float:
-    draws = {l: engine.draws(family.k, "gaussian", l, cfg) for l in degrees}
-    cache: dict = {}
+    draws = {l: engine.draws(k, "gaussian", l, cfg) for l in degrees}
 
     def objective(log_t: float) -> float:
-        got = cache.get(log_t)
-        if got is None:
-            t = float(np.exp(log_t))
-            ops = engine.degree_ops(family.laplacian(t), max(degrees))
-            try:
-                got = float(np.mean(
-                    [engine.cell_error(ops, draws[l], l).mean for l in degrees]
-                ))
-            except UndefinedNormalizationError:
-                got = np.inf  # width so small the operator underflowed to zero
-            cache[log_t] = got
-        return got
+        ops = engine.degree_ops(family.laplacian(float(np.exp(log_t))), max(degrees))
+        try:
+            return float(np.mean([engine.cell_error(ops, draws[l], l).mean for l in degrees]))
+        except UndefinedNormalizationError:
+            return np.inf  # width so small the operator underflowed to zero
 
-    t_h = family.heuristic_width()
-    grid = np.log(np.geomspace(t_h / 100.0, 100.0 * t_h, _COARSE_POINTS))
-    values = [objective(x) for x in grid]
-    best = int(np.argmin(values))
-    if best in (0, _COARSE_POINTS - 1):
-        warnings.warn(
-            "objective minimized at the bracket edge; returning best grid point "
-            "(objective may be non-unimodal over the scanned range)"
-        )
-        return float(np.exp(grid[best]))
-
-    lo, hi = grid[best - 1], grid[best + 1]
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = objective(x1), objective(x2)
+    # Bracket (lo, best, hi): best has the lowest objective seen so far. Each
+    # step probes the larger side at the golden ratio and keeps the sub-bracket
+    # around the lower of the two values.
+    best = float(np.log(family.heuristic_width()))
+    f_best = objective(best)
+    edges = (best - np.log(100.0), best + np.log(100.0))
+    lo, hi = edges
     while hi - lo > _LOG_TOL:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = objective(x1)
+        if hi - best > best - lo:
+            x = best + (1.0 - _GOLDEN) * (hi - best)
         else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = objective(x2)
-    best_log = min(cache, key=cache.get)
-    return float(np.exp(best_log))
+            x = best - (1.0 - _GOLDEN) * (best - lo)
+        f_x = objective(x)
+        if f_x < f_best:
+            lo, hi = (best, hi) if x > best else (lo, best)
+            best, f_best = x, f_x
+        else:
+            lo, hi = (lo, x) if x > best else (x, hi)
+    if min(best - edges[0], edges[1] - best) <= _LOG_TOL:
+        warnings.warn(
+            "objective minimized at the bracket edge of [t_h/100, 100 t_h]; "
+            "the minimum may lie outside the searched range"
+        )
+    return float(np.exp(best))
 
 
 def fit_power_law(pairs: Sequence) -> tuple:
@@ -331,6 +317,8 @@ def fit_power_law(pairs: Sequence) -> tuple:
         raise InvalidArgumentError("need at least 3 (n, t) pairs")
     if np.any(pairs <= 0):
         raise InvalidArgumentError("all (n, t) values must be positive")
+    if np.unique(pairs[:, 0]).size < 2:
+        raise InvalidArgumentError("need at least 2 distinct n to fit a power law")
     pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]  # order-independent result
     x = np.log(pairs[:, 0])
     y = np.log(pairs[:, 1])
@@ -422,7 +410,7 @@ def equivariance_sweep(samplings: Sequence[Sampling], ks: Sequence[int],
         if weight_kind == "gaussian":
             family = GaussianGraphFamily(s, k)
             if t_mode == "optimal":
-                t = _optimal_width(engine, family, usable, cfg)
+                t = optimize_kernel_width(s, k, usable, cfg, engine=engine, family=family)
             elif t_mode == "heuristic":
                 t = family.heuristic_width("half-mean-square")
             elif t_mode == "mean-distance":

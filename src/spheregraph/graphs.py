@@ -179,14 +179,21 @@ def heuristic_kernel_width(s: Sampling, k: int, kind: str = "half-mean-square") 
     return GaussianGraphFamily(s, k).heuristic_width(kind)
 
 
-def largest_eigenvalue(L, tol: float = 1e-6, max_iter: int = 20000) -> float:
+# Relative accuracy and safety inflation of largest_eigenvalue, its iteration
+# cap, and the block size of its block-power fallback.
+_EIG_TOL = 1e-6
+_EIG_MAX_ITER = 20000
+_EIG_BLOCK = 12
+
+
+def largest_eigenvalue(L) -> float:
     """Largest eigenvalue of a symmetric PSD operator, upper-biased.
 
     Graph Laplacians on near-uniform samplings have a tightly clustered top
     spectrum, which defeats single-vector power iteration, so the estimate
     comes from Lanczos (deterministic start vector) with a block-power-
     iteration fallback. The residual of the converged Ritz pair is added and
-    the result inflated by (1 + tol) so Chebyshev scaling stays valid.
+    the result inflated by (1 + 1e-6) so Chebyshev scaling stays valid.
     Raises NumericalFailureError if neither method converges.
     """
     import scipy.sparse.linalg as spla
@@ -198,38 +205,39 @@ def largest_eigenvalue(L, tol: float = 1e-6, max_iter: int = 20000) -> float:
         return 0.0
     if n <= 32:
         dense = L.toarray() if sp.issparse(L) else np.asarray(L)
-        return float(np.linalg.eigvalsh(dense).max()) * (1.0 + tol)
+        return float(np.linalg.eigvalsh(dense).max()) * (1.0 + _EIG_TOL)
     v0 = np.cos(np.arange(n, dtype=np.float64) + 0.5)
     try:
         k = min(6, n - 1)
         vals, vecs = spla.eigsh(
-            L, k=k, which="LA", tol=0.1 * tol, v0=v0,
-            ncv=min(n, max(4 * k + 1, 40)), maxiter=max_iter,
+            L, k=k, which="LA", tol=0.1 * _EIG_TOL, v0=v0,
+            ncv=min(n, max(4 * k + 1, 40)), maxiter=_EIG_MAX_ITER,
         )
         i = int(np.argmax(vals))
         theta = float(vals[i])
         res = float(np.linalg.norm(L @ vecs[:, i] - theta * vecs[:, i]))
-        return (theta + res) * (1.0 + tol)
+        return (theta + res) * (1.0 + _EIG_TOL)
     except spla.ArpackError:
-        return _block_power_largest(L, tol, max_iter)
+        return _block_power_largest(L)
 
 
-def _block_power_largest(L, tol: float, max_iter: int, block: int = 12) -> float:
+def _block_power_largest(L) -> float:
     n = L.shape[0]
     rng = np.random.default_rng(0x5EED)
-    V = np.linalg.qr(rng.standard_normal((n, min(block, n))))[0]
+    V = np.linalg.qr(rng.standard_normal((n, min(_EIG_BLOCK, n))))[0]
     theta, res = 0.0, np.inf
-    for _ in range(max_iter):
+    for _ in range(_EIG_MAX_ITER):
         W = L @ V
         evals, U = np.linalg.eigh(V.T @ W)
         theta = float(evals[-1])
         res = float(np.linalg.norm(W @ U[:, -1] - theta * (V @ U[:, -1])))
         if theta == 0.0 and np.linalg.norm(W) == 0.0:
             return 0.0
-        if res <= tol * abs(theta):
-            return (theta + res) * (1.0 + tol)
+        if res <= _EIG_TOL * abs(theta):
+            return (theta + res) * (1.0 + _EIG_TOL)
         V = np.linalg.qr(W)[0]
     raise NumericalFailureError(
         "largest-eigenvalue iteration did not converge",
-        {"iterations": max_iter, "last_estimate": theta, "residual": res, "tolerance": tol},
+        {"iterations": _EIG_MAX_ITER, "last_estimate": theta, "residual": res,
+         "tolerance": _EIG_TOL},
     )

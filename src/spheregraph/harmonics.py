@@ -441,11 +441,6 @@ class RotationOperator:
     __call__ = apply
 
 
-def rotation_operator(s: Sampling, g: Rotation, lmax: int,
-                      plan: Optional[AnalysisPlan] = None) -> RotationOperator:
-    return RotationOperator(s, g, lmax, plan)
-
-
 # ---------------------------------------------------------------------------
 # Spectra and random draws
 # ---------------------------------------------------------------------------

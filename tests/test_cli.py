@@ -198,6 +198,7 @@ def test_console_entry_exit_codes(tmp_path):
           "--degrees", "1,x"], "'1,x'"),
         (["pool", "--scheme", "healpix", "--nside", "2", "--indexing", "nested",
           "--signal", str(signal)], "line 3"),
+        (["opt-t", "--scheme", "healpix", "--nside", "2,2,2", "--k", "8"], "distinct n"),
     ]:
         bad = subprocess.run(env_cmd + args + ["--out", str(tmp_path / "x.csv")],
                              capture_output=True, text=True)

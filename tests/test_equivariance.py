@@ -35,6 +35,7 @@ from spheregraph.samplings import (
     healpix_sampling,
     icosahedral_sampling,
     random_uniform_sampling,
+    reliable_band,
     rotation_permutation,
     z_rotation_matrix,
 )
@@ -204,6 +205,48 @@ class TestOptimizeKernelWidth:
         with pytest.raises(InvalidArgumentError):
             optimize_kernel_width(healpix_sampling(2), 4, [2], cfg, family=family)
 
+    @pytest.mark.parametrize("make, k", [
+        # not unimodal: a second basin below a bump near t_h/21
+        (lambda: equiangular_sampling(8), 8),
+        (lambda: healpix_sampling(2), 4),
+        (lambda: icosahedral_sampling(2), 8),
+        (lambda: random_uniform_sampling(300, 0), 8),
+    ], ids=["equiangular8-k8", "healpix2-k4", "icosahedral2-k8", "random300-k8"])
+    def test_search_beats_fine_grid(self, make, k):
+        s = make()
+        band = reliable_band(s)
+        degrees = list(range(1, min(15, band) + 1))
+        cfg = EquivarianceConfig()
+        engine = SweepEngine(s, band)
+        family = GaussianGraphFamily(s, k)
+        calls = []
+        degree_ops = engine.degree_ops
+
+        def counted(L, max_degree):
+            calls.append(max_degree)
+            return degree_ops(L, max_degree)
+
+        engine.degree_ops = counted
+        t_opt = optimize_kernel_width(s, k, degrees, cfg, engine=engine, family=family)
+        assert len(calls) <= 21
+        draws = {l: engine.draws(k, "gaussian", l, cfg) for l in degrees}
+
+        def objective(t):
+            ops = degree_ops(family.laplacian(t), max(degrees))
+            return np.mean([engine.cell_error(ops, draws[l], l).mean for l in degrees])
+
+        t_h = family.heuristic_width()
+        grid_min = min(objective(t) for t in np.geomspace(t_h / 100.0, 100.0 * t_h, 49))
+        assert objective(t_opt) <= grid_min * (1.0 + 1e-9)
+
+    def test_edge_minimum_warns(self):
+        # equiangular b = 4, k = 8: the error keeps falling up to 100 t_h
+        s = equiangular_sampling(4)
+        family = GaussianGraphFamily(s, 8)
+        with pytest.warns(UserWarning, match="bracket edge"):
+            t = optimize_kernel_width(s, 8, [1, 2, 3], EquivarianceConfig(seed=42), family=family)
+        assert abs(np.log(t / (100.0 * family.heuristic_width()))) <= 1e-3
+
 
 class TestFitPowerLaw:
     def test_exact_synthetic(self):
@@ -225,6 +268,10 @@ class TestFitPowerLaw:
     def test_too_few_points(self):
         with pytest.raises(InvalidArgumentError):
             fit_power_law([(10.0, 1.0), (100.0, 0.5)])
+
+    def test_one_distinct_n_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="distinct n"):
+            fit_power_law([(48.0, 0.3), (48.0, 0.2), (48.0, 0.25)])
 
     def test_nonpositive_rejected(self):
         with pytest.raises(InvalidArgumentError):

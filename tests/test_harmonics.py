@@ -10,6 +10,7 @@ from spheregraph.harmonics import (
     AnalysisPlan,
     HarmonicCoeffs,
     Rotation,
+    RotationOperator,
     analysis,
     coeff_index,
     degree_slice,
@@ -23,7 +24,6 @@ from spheregraph.harmonics import (
     random_degree_signal,
     random_rotation,
     rotate_coeffs,
-    rotation_operator,
     synthesis,
     wigner_D_blocks,
     wigner_D_matrix,
@@ -257,15 +257,15 @@ class TestRotations:
 class TestRotationOperator:
     def test_identity_on_band_limited(self, equiangular8):
         f = synthesis(equiangular8, random_coeffs(5, 12))
-        op = rotation_operator(equiangular8, Rotation(0, 0, 0), 5)
+        op = RotationOperator(equiangular8, Rotation(0, 0, 0), 5)
         np.testing.assert_allclose(op(f), f, atol=1e-8)
 
     def test_inverse_composition(self, equiangular8):
         g = random_rotation(33)
         f = synthesis(equiangular8, random_coeffs(5, 13))
         plan = AnalysisPlan(equiangular8, 5)
-        forward = rotation_operator(equiangular8, g, 5, plan=plan)
-        backward = rotation_operator(equiangular8, g.inverse(), 5, plan=plan)
+        forward = RotationOperator(equiangular8, g, 5, plan=plan)
+        backward = RotationOperator(equiangular8, g.inverse(), 5, plan=plan)
         np.testing.assert_allclose(backward(forward(f)), f, atol=1e-7)
 
     def test_automorphism_matches_permutation(self):
@@ -273,7 +273,7 @@ class TestRotationOperator:
         perm = rotation_permutation(s, z_rotation_matrix(np.pi / 2))
         g = Rotation(np.pi / 2, 0.0, 0.0)
         f = synthesis(s, random_coeffs(7, 14))
-        op = rotation_operator(s, g, 11)
+        op = RotationOperator(s, g, 11)
         np.testing.assert_allclose(op(f), f[perm], atol=1e-8)
 
 

@@ -114,7 +114,6 @@ def _weights_from_distances(dists: np.ndarray, w: WeightScheme) -> np.ndarray:
 def _assemble(n: int, rows, cols, vals, k: int, w: WeightScheme) -> Graph:
     a = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     a = a.maximum(a.T)  # union symmetrization; weights are distance-determined
-    a.setdiag(0.0)
     a.eliminate_zeros()
     degrees = np.asarray(a.sum(axis=1)).ravel()
     return Graph(n, a, degrees, k, w)
@@ -179,65 +178,59 @@ def heuristic_kernel_width(s: Sampling, k: int, kind: str = "half-mean-square") 
     return GaussianGraphFamily(s, k).heuristic_width(kind)
 
 
-# Relative accuracy and safety inflation of largest_eigenvalue, its iteration
-# cap, and the block size of its block-power fallback.
+# Relative accuracy and safety inflation of largest_eigenvalue, and the
+# iteration cap of its Lanczos run.
 _EIG_TOL = 1e-6
 _EIG_MAX_ITER = 20000
-_EIG_BLOCK = 12
 
 
 def largest_eigenvalue(L) -> float:
-    """Largest eigenvalue of a symmetric PSD operator, upper-biased.
+    """Largest eigenvalue of a symmetric PSD matrix (sparse or dense), upper-biased.
 
-    Graph Laplacians on near-uniform samplings have a tightly clustered top
-    spectrum, which defeats single-vector power iteration, so the estimate
-    comes from Lanczos (deterministic start vector) with a block-power-
-    iteration fallback. The residual of the converged Ritz pair is added and
-    the result inflated by (1 + 1e-6) so Chebyshev scaling stays valid.
-    Raises NumericalFailureError if neither method converges.
+    Matrices up to 32 rows are solved densely. Larger ones get one Lanczos
+    run (ARPACK, one wanted eigenvalue, deterministic start vector) for the
+    top Ritz pair (theta, x) with residual r = L x - theta x. Some eigenvalue
+    of L lies within |r| of theta; Lanczos from a start vector that is not
+    orthogonal to the top eigenvector converges to the top of the spectrum
+    first, so that eigenvalue is the largest one and theta + |r| bounds it.
+    The result is that bound times (1 + 1e-6), which Chebyshev scaling can
+    trust.
+
+    ARPACK stops when |r| <= tol * max(eps^(2/3), |theta|). The eps^(2/3)
+    floor is absolute, so L is first multiplied by the exact power of two
+    that puts its largest |entry| in [0.5, 1). For a PSD matrix that entry
+    is on the diagonal and the top eigenvalue is at least 0.5, so the test
+    is relative, and the answer scales exactly with L (no underflowing
+    residual for tiny L, no overflowing one for huge L). A matrix whose
+    entries are all zero returns 0.
+
+    Raises NumericalFailureError, with diagnostics, if ARPACK fails or does
+    not converge.
     """
     import scipy.sparse.linalg as spla
 
     n = L.shape[0]
     if n == 0:
         return 0.0
-    if sp.issparse(L) and L.nnz == 0:
-        return 0.0
     if n <= 32:
         dense = L.toarray() if sp.issparse(L) else np.asarray(L)
         return float(np.linalg.eigvalsh(dense).max()) * (1.0 + _EIG_TOL)
+    L = sp.csr_matrix(L, dtype=np.float64, copy=True)
+    amax = float(np.abs(L.data).max(initial=0.0))
+    if amax == 0.0:
+        return 0.0
+    e = int(np.frexp(amax)[1])
+    L.data = np.ldexp(L.data, -e)
     v0 = np.cos(np.arange(n, dtype=np.float64) + 0.5)
+    tol = 0.1 * _EIG_TOL
     try:
-        k = min(6, n - 1)
-        vals, vecs = spla.eigsh(
-            L, k=k, which="LA", tol=0.1 * _EIG_TOL, v0=v0,
-            ncv=min(n, max(4 * k + 1, 40)), maxiter=_EIG_MAX_ITER,
-        )
-        i = int(np.argmax(vals))
-        theta = float(vals[i])
-        res = float(np.linalg.norm(L @ vecs[:, i] - theta * vecs[:, i]))
-        return (theta + res) * (1.0 + _EIG_TOL)
-    except spla.ArpackError:
-        return _block_power_largest(L)
-
-
-def _block_power_largest(L) -> float:
-    n = L.shape[0]
-    rng = np.random.default_rng(0x5EED)
-    V = np.linalg.qr(rng.standard_normal((n, min(_EIG_BLOCK, n))))[0]
-    theta, res = 0.0, np.inf
-    for _ in range(_EIG_MAX_ITER):
-        W = L @ V
-        evals, U = np.linalg.eigh(V.T @ W)
-        theta = float(evals[-1])
-        res = float(np.linalg.norm(W @ U[:, -1] - theta * (V @ U[:, -1])))
-        if theta == 0.0 and np.linalg.norm(W) == 0.0:
-            return 0.0
-        if res <= _EIG_TOL * abs(theta):
-            return (theta + res) * (1.0 + _EIG_TOL)
-        V = np.linalg.qr(W)[0]
-    raise NumericalFailureError(
-        "largest-eigenvalue iteration did not converge",
-        {"iterations": _EIG_MAX_ITER, "last_estimate": theta, "residual": res,
-         "tolerance": _EIG_TOL},
-    )
+        vals, vecs = spla.eigsh(L, k=1, which="LA", tol=tol, v0=v0, maxiter=_EIG_MAX_ITER)
+    except spla.ArpackError as exc:
+        raise NumericalFailureError(
+            "Lanczos iteration for the largest eigenvalue failed",
+            {"n": n, "nnz": L.nnz, "scale_exponent": e, "tolerance": tol,
+             "max_iter": _EIG_MAX_ITER, "arpack": str(exc)},
+        ) from exc
+    theta, x = float(vals[0]), vecs[:, 0]
+    res = float(np.linalg.norm(L @ x - theta * x))
+    return float(np.ldexp((theta + res) * (1.0 + _EIG_TOL), e))

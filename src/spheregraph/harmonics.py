@@ -394,7 +394,7 @@ class AnalysisPlan:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """(G + ridge I)^-1 rhs from the Cholesky factor."""
-        return sla.cho_solve(self._cho, rhs)
+        return sla.cho_solve(self._cho, rhs, check_finite=False)
 
     def synthesize_values(self, values: np.ndarray) -> np.ndarray:
         return self.basis @ values

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_neighbors
-from spheregraph.errors import InvalidArgumentError, SingularWeightError
+from spheregraph.errors import InvalidArgumentError, NumericalFailureError, SingularWeightError
 from spheregraph.graphs import (
     GaussianGraphFamily,
     Graph,
@@ -23,6 +23,7 @@ from spheregraph.samplings import (
     equiangular_sampling,
     healpix_sampling,
     icosahedral_sampling,
+    random_uniform_sampling,
 )
 
 
@@ -244,16 +245,49 @@ class TestLargestEigenvalue:
         lam = largest_eigenvalue(laplacian(two_point_graph(0.7)))
         assert abs(lam - 1.4) <= 1.4 * 2e-6
 
-    def test_dense_oracle(self):
-        s = healpix_sampling(2)
-        lap = laplacian(build_graph(s, 8, WeightScheme("gaussian", heuristic_kernel_width(s, 8))))
+    @pytest.mark.parametrize("sampling, k, kind", [
+        (lambda: healpix_sampling(2), 8, "gaussian"),
+        (lambda: icosahedral_sampling(2), 8, "gaussian"),
+        (lambda: equiangular_sampling(8), 20, "inverse-distance"),
+        (lambda: random_uniform_sampling(300, seed=0), 40, "gaussian"),
+        (lambda: healpix_sampling(4, "nested"), 8, "gaussian"),
+    ], ids=["healpix-ring-2", "icosahedral-2", "equiangular-8", "random-300", "healpix-nested-4"])
+    def test_dense_oracle(self, sampling, k, kind):
+        s = sampling()
+        w = WeightScheme(kind, heuristic_kernel_width(s, k) if kind == "gaussian" else None)
+        lap = laplacian(build_graph(s, k, w))
         lam = largest_eigenvalue(lap)
         dense = np.linalg.eigvalsh(lap.toarray()).max()
         assert abs(lam - dense) < 1e-5 * dense
         assert lam >= dense
 
-    def test_zero_matrix(self):
-        assert largest_eigenvalue(sp.csr_matrix((40, 40))) == 0.0
+    @pytest.mark.parametrize("c", [1e-300, 1e-20, 1.0, 1e200])
+    def test_power_of_two_scale(self, c):
+        s = healpix_sampling(4)
+        lap = laplacian(build_graph(s, 8, WeightScheme("gaussian", heuristic_kernel_width(s, 8))))
+        top = np.linalg.eigvalsh(lap.toarray()).max()
+        lam = largest_eigenvalue(c * lap)
+        assert c * top <= lam <= c * top * (1 + 1e-5)
+
+    @pytest.mark.parametrize("zero", [
+        sp.csr_matrix((40, 40)),
+        np.zeros((40, 40)),
+        sp.csr_matrix((np.zeros(40), np.arange(40), np.arange(41)), shape=(40, 40)),
+    ], ids=["empty-csr", "dense", "explicit-zero-csr"])
+    def test_zero_matrix(self, zero):
+        assert largest_eigenvalue(zero) == 0.0
+
+    def test_no_convergence_raises(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        def no_convergence(*args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((40, 0)))
+
+        monkeypatch.setattr(spla, "eigsh", no_convergence)
+        with pytest.raises(NumericalFailureError) as info:
+            largest_eigenvalue(laplacian(build_graph(
+                healpix_sampling(2), 8, WeightScheme("inverse-distance"))))
+        assert "no convergence" in info.value.diagnostics["arpack"]
 
 
 class TestGaussianGraphFamily:

@@ -108,8 +108,9 @@ def _cell_seed(seed: int, s: Sampling, k: int, weight_kind: str, l: int) -> np.r
 class _CellDraws:
     """Frozen random draws for one sweep cell, reusable across kernel widths.
 
-    Signals are real-basis degree-l blocks; blocks[l'] stacks the real Wigner
-    blocks of degree l' of every rotation, shape (n_rotations, 2l'+1, 2l'+1).
+    Signals are real-basis degree-l blocks; blocks holds the rotations' real
+    Wigner blocks up to degree lmax (harmonics.WignerBlocks), which forms its
+    block stacks only once the draws are reused.
     """
 
     def __init__(self, s: Sampling, k: int, weight_kind: str, l: int,
@@ -173,11 +174,7 @@ class SweepEngine:
         # column j * n_s + i holds rotation j applied to signal i
         n_s = a.shape[1]
         n_r = len(draws.rotations)
-        u_all = np.empty((ops.h.shape[0], n_r, n_s))
-        for lp, stack in enumerate(draws.blocks):
-            slp = degree_slice(lp)
-            u_all[slp] = np.matmul(stack, c[slp]).transpose(1, 0, 2)
-        u_all = u_all.reshape(-1, n_r * n_s)
+        u_all = draws.blocks.apply(c).reshape(-1, n_r * n_s)
         d_all = np.matmul(draws.blocks[l], a).transpose(1, 0, 2).reshape(-1, n_r * n_s)
 
         gu = self.plan.gram @ u_all
@@ -251,7 +248,8 @@ _LOG_TOL = 1e-3
 def optimize_kernel_width(s: Sampling, k: int, degrees: Sequence[int],
                           cfg: EquivarianceConfig,
                           engine: Optional[SweepEngine] = None,
-                          family: Optional[GaussianGraphFamily] = None) -> float:
+                          family: Optional[GaussianGraphFamily] = None,
+                          draws: Optional[dict] = None) -> float:
     """Gaussian kernel width minimizing the mean error over the given degrees.
 
     One golden-section search on log t over [t_h/100, 100 t_h], started at
@@ -262,7 +260,9 @@ def optimize_kernel_width(s: Sampling, k: int, degrees: Sequence[int],
     A result within the tolerance of either end of the range is the bracket
     edge and draws a warning: the minimum may lie outside. A caller that also
     needs t_h passes the GaussianGraphFamily(s, k) it built, so the kNN query
-    runs once.
+    runs once; a caller that goes on to use the draws passes the dict
+    {l: engine.draws(k, "gaussian", l, cfg)} it built, so they are drawn once
+    and their Wigner stacks are formed once.
     """
     degrees = list(degrees)
     if not degrees:
@@ -275,7 +275,8 @@ def optimize_kernel_width(s: Sampling, k: int, degrees: Sequence[int],
         raise InvalidArgumentError("family must be GaussianGraphFamily(s, k) of this sampling and k")
     if engine is None:
         engine = SweepEngine(s, _resolve_lmax(s, cfg))
-    draws = {l: engine.draws(k, "gaussian", l, cfg) for l in degrees}
+    if draws is None:
+        draws = {l: engine.draws(k, "gaussian", l, cfg) for l in degrees}
 
     def objective(log_t: float) -> float:
         ops = engine.degree_ops(family.laplacian(float(np.exp(log_t))), max(degrees))
@@ -407,10 +408,12 @@ def equivariance_sweep(samplings: Sequence[Sampling], ks: Sequence[int],
         usable = [l for l in degrees if 1 <= l <= reliable_band(s)]
         if not usable:
             raise InvalidArgumentError(f"no sweep degree lies in the reliable band of {s.scheme}")
+        draws = {l: engine.draws(k, weight_kind, l, cfg) for l in usable}
         if weight_kind == "gaussian":
             family = GaussianGraphFamily(s, k)
             if t_mode == "optimal":
-                t = optimize_kernel_width(s, k, usable, cfg, engine=engine, family=family)
+                t = optimize_kernel_width(s, k, usable, cfg, engine=engine, family=family,
+                                          draws=draws)
             elif t_mode == "heuristic":
                 t = family.heuristic_width("half-mean-square")
             elif t_mode == "mean-distance":
@@ -424,7 +427,7 @@ def equivariance_sweep(samplings: Sequence[Sampling], ks: Sequence[int],
         ops = engine.degree_ops(L, max(usable))
         rows = []
         for l in usable:
-            res = engine.cell_error(ops, engine.draws(k, weight_kind, l, cfg), l)
+            res = engine.cell_error(ops, draws[l], l)
             rows.append(SweepRow(s.scheme, s.n, k, weight_kind, t, l,
                                  res.mean, res.std, res.samples))
         return rows

@@ -271,12 +271,12 @@ _JY_REAL_CACHE: dict = {}
 
 
 def _jy_real_schur(l: int) -> np.ndarray:
-    """Real orthogonal P with d^l(beta) = P M(beta) P^T in the real basis.
+    """Real orthogonal Q with d^l(beta) = Q T(beta) Q^T in the real basis.
 
-    For k = 1..l, columns k-1 and l+k-1 are x = sqrt(2) Re w and
-    y = sqrt(2) Im w, where w = U^H v is the unit eigenvector v of J_y with
-    eigenvalue k written in the real basis; M(beta) turns their plane by
-    k*beta. The last column is the rotation's fixed axis.
+    T(theta) is the turn of the z-rotations: it maps position m of a degree-l
+    block to cos(m theta) x_m - sin(m theta) x_-m. Columns k and -k (k = 1..l)
+    are sqrt(2) Re w and sqrt(2) Im w, where w = U^H v is the unit eigenvector
+    v of J_y with eigenvalue k in the real basis; column 0 is the fixed axis.
     """
     got = _JY_REAL_CACHE.get(l)
     if got is None:
@@ -285,55 +285,92 @@ def _jy_real_schur(l: int) -> np.ndarray:
         j = int(np.argmax(np.abs(axis)))
         axis = (axis * np.conj(axis[j]) / abs(axis[j])).real  # real up to its phase
         turning = w[:, l + 1:]  # eigenvalues 1..l
-        got = np.column_stack([_SQRT2 * turning.real, _SQRT2 * turning.imag, axis])
+        got = np.column_stack([_SQRT2 * turning.imag[:, ::-1], axis, _SQRT2 * turning.real])
         _JY_REAL_CACHE[l] = got
     return got
 
 
-def wigner_D_blocks(lmax: int, rotations: Sequence[Rotation]) -> list:
-    """Real Wigner blocks U^H D^l(g) U for l = 0..lmax, stacked over rotations.
+def _turn_columns(x: np.ndarray, theta: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x T(theta) for each theta: column m becomes cos(m theta) x_m + sin(m theta) x_-m."""
+    angle = np.multiply.outer(theta, m)[:, None, :]
+    return x * np.cos(angle) + x[..., ::-1] * np.sin(angle)
 
-    Entry l has shape (len(rotations), 2l+1, 2l+1). The y-rotation by beta is
-    one real product P M(beta) P^T; the z-rotations by alpha and gamma turn
-    each (m, -m) pair of rows and of columns by m*alpha and m*gamma.
+
+class WignerBlocks:
+    """Real Wigner blocks U^H D^l(g) U of a set of rotations, l = 0..lmax.
+
+    Each block factors as D = T(alpha) Q T(beta) Q^T T(gamma), with Q from
+    _jy_real_schur (Blanco, Florez & Bermejo 1997). blocks[l] forms and
+    caches the stack of degree l, shape (len(rotations), 2l+1, 2l+1).
+    apply(table) rotates through the factors the first time, forming no
+    block; a second call means the rotations are being reused (once per
+    kernel width in a search), so from then on it multiplies by the stacks.
     """
-    alpha, beta, gamma = (np.array([getattr(g, name) for g in rotations])
-                          for name in ("alpha", "beta", "gamma"))
-    blocks = []
-    for l in range(lmax + 1):
-        dim = 2 * l + 1
-        p = _jy_real_schur(l)
-        x, y = p[:, :l], p[:, l:2 * l]
-        angle = np.multiply.outer(beta, np.arange(1, l + 1))[:, None, :]
-        c, s = np.cos(angle), np.sin(angle)
-        pm = np.empty((len(rotations), dim, dim))
-        pm[:, :, :l] = x * c + y * s
-        pm[:, :, l:2 * l] = y * c - x * s
-        pm[:, :, 2 * l] = p[:, 2 * l]
-        d = (pm.reshape(-1, dim) @ p.T).reshape(pm.shape)
-        m = np.arange(-l, l + 1)
-        angle = np.multiply.outer(alpha, m)[:, :, None]
-        d = np.cos(angle) * d - np.sin(angle) * d[:, ::-1, :]
-        angle = np.multiply.outer(gamma, m)[:, None, :]
-        blocks.append(d * np.cos(angle) + d[:, :, ::-1] * np.sin(angle))
-    return blocks
+
+    def __init__(self, lmax: int, rotations: Sequence[Rotation]):
+        self.lmax = lmax
+        self.alpha, self.beta, self.gamma = (np.array([getattr(g, name) for g in rotations])
+                                             for name in ("alpha", "beta", "gamma"))
+        self._stacks: dict = {}
+        self._applied = 0
+
+    def __getitem__(self, l: int) -> np.ndarray:
+        if not 0 <= l <= self.lmax:
+            raise IndexError(f"degree {l} outside 0..{self.lmax}")
+        got = self._stacks.get(l)
+        if got is None:
+            q = _jy_real_schur(l)
+            m = np.arange(-l, l + 1)
+            pm = _turn_columns(q, self.beta, m)
+            d = (pm.reshape(-1, 2 * l + 1) @ q.T).reshape(pm.shape)
+            angle = np.multiply.outer(self.alpha, m)[:, :, None]
+            d = np.cos(angle) * d - np.sin(angle) * d[:, ::-1, :]
+            got = self._stacks[l] = _turn_columns(d, self.gamma, m)
+        return got
+
+    def apply(self, table: np.ndarray) -> np.ndarray:
+        """Rotated copies of a table of shape ((lmax+1)^2, ...): out[:, r] is rotation r's."""
+        table = np.asarray(table)
+        x = table.reshape(table.shape[0], 1, -1)
+        self._applied += 1
+        if self._applied == 1:
+            x = self._by_q(self._turn(x, self.gamma), transpose=True)
+            out = self._turn(self._by_q(self._turn(x, self.beta)), self.alpha)
+        else:
+            out = np.empty(((self.lmax + 1) ** 2, self.alpha.size, x.shape[2]),
+                           np.result_type(x, 1.0))
+            for l in range(self.lmax + 1):
+                sl = degree_slice(l)
+                out[sl] = np.matmul(self[l], x[sl, 0]).transpose(1, 0, 2)
+        return out.reshape((table.shape[0], self.alpha.size) + table.shape[1:])
+
+    def _turn(self, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """T(theta_r) on every degree of x, shape (positions, 1 or n_rot, columns)."""
+        m = np.concatenate([np.arange(-l, l + 1) for l in range(self.lmax + 1)])
+        angle = np.multiply.outer(m, theta)[:, :, None]
+        out = x[np.arange(m.size) - 2 * m] * -np.sin(angle)  # order -m sits 2m positions back
+        out += np.cos(angle) * x  # in place: one table-sized temporary fewer
+        return out
+
+    def _by_q(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """Q (or Q^T) of each degree times that degree's rows of x: one GEMM per degree."""
+        out = np.empty_like(x)
+        for l in range(self.lmax + 1):
+            q = _jy_real_schur(l)
+            sl = degree_slice(l)
+            np.matmul(q.T if transpose else q, x[sl].reshape(2 * l + 1, -1),
+                      out=out[sl].reshape(2 * l + 1, -1))
+        return out
 
 
-def _rotation_blocks(lmax: int, g: Rotation) -> list:
-    return [stack[0] for stack in wigner_D_blocks(lmax, [g])]
-
-
-def _apply_blocks(blocks: list, values: np.ndarray) -> np.ndarray:
-    out = np.empty_like(values)
-    for l, D in enumerate(blocks):
-        sl = degree_slice(l)
-        out[sl] = D @ values[sl]
-    return out
+def wigner_D_blocks(lmax: int, rotations: Sequence[Rotation]) -> WignerBlocks:
+    """Real Wigner blocks U^H D^l(g) U of the rotations for l = 0..lmax."""
+    return WignerBlocks(lmax, rotations)
 
 
 def rotate_coeffs(coeffs: HarmonicCoeffs, g: Rotation) -> HarmonicCoeffs:
     """Rotate a coefficient table: synthesis(rotate_coeffs(a, g)) = f(g^{-1} x)."""
-    rotated = _apply_blocks(_rotation_blocks(coeffs.lmax, g), coeffs.real_values())
+    rotated = wigner_D_blocks(coeffs.lmax, [g]).apply(coeffs.real_values())[:, 0]
     return HarmonicCoeffs.from_real(coeffs.lmax, rotated)
 
 
@@ -432,11 +469,11 @@ class RotationOperator:
         self.rotation = g
         self.lmax = lmax
         self.plan = plan if plan is not None else AnalysisPlan(s, lmax)
-        self.blocks = _rotation_blocks(lmax, g)
+        self.blocks = wigner_D_blocks(lmax, [g])
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         table = self.plan.analyze_table(np.asarray(f, dtype=np.float64))
-        return self.plan.synthesize_values(_apply_blocks(self.blocks, table))
+        return self.plan.synthesize_values(self.blocks.apply(table)[:, 0])
 
     __call__ = apply
 

@@ -161,6 +161,22 @@ class TestMeanEquivarianceError:
         assert scaled.samples == base.samples == 12
         assert scaled.mean == pytest.approx(base.mean, rel=1e-12)
 
+    @pytest.mark.parametrize("make, k", [(lambda: healpix_sampling(4), 8),
+                                         (lambda: healpix_sampling(8), 20)])
+    def test_first_and_repeated_use_agree(self, make, k):
+        # the first cell_error on a draw set rotates through the Wigner
+        # factors, later ones through the formed block stacks
+        s = make()
+        engine = SweepEngine(s, reliable_band(s))
+        lap = laplacian(build_graph(s, k, WeightScheme("gaussian", heuristic_kernel_width(s, k))))
+        ops = engine.degree_ops(lap, 5)
+        draws = engine.draws(k, "gaussian", 5, EquivarianceConfig(seed=5))
+        first = engine.cell_error(ops, draws, 5)
+        again = engine.cell_error(ops, draws, 5)
+        assert again.samples == first.samples
+        assert again.mean == pytest.approx(first.mean, rel=1e-12)
+        assert again.std == pytest.approx(first.std, rel=1e-12)
+
     def test_samples_counted(self, hp4_setup):
         s, _ = hp4_setup
         cfg = EquivarianceConfig(5, 4, 2, 9)
@@ -238,6 +254,22 @@ class TestOptimizeKernelWidth:
         t_h = family.heuristic_width()
         grid_min = min(objective(t) for t in np.geomspace(t_h / 100.0, 100.0 * t_h, 49))
         assert objective(t_opt) <= grid_min * (1.0 + 1e-9)
+
+    def test_optimal_sweep_draws_each_cell_once(self, monkeypatch):
+        # the final pass at t_opt reuses the search's draws
+        calls = []
+        draws = SweepEngine.draws
+
+        def counted(engine, k, weight_kind, l, cfg):
+            calls.append(l)
+            return draws(engine, k, weight_kind, l, cfg)
+
+        monkeypatch.setattr(SweepEngine, "draws", counted)
+        samplings = [healpix_sampling(4), healpix_sampling(8)]
+        rows = equivariance_sweep(samplings, [8], "gaussian", "optimal", range(1, 16),
+                                  EquivarianceConfig(2, 2, 0))
+        assert len(rows) == 11 + 15
+        assert len(calls) == len(rows)
 
     def test_edge_minimum_warns(self):
         # equiangular b = 4, k = 8: the error keeps falling up to 100 t_h

@@ -46,6 +46,12 @@ def random_coeffs(lmax: int, seed: int) -> HarmonicCoeffs:
     return HarmonicCoeffs(lmax, values)
 
 
+def random_and_gimbal_rotations() -> list:
+    """Four Haar draws, the identity, and the beta = 0 and beta = pi cases."""
+    rotations = [random_rotation(seed) for seed in range(4)]
+    return rotations + [Rotation(0.0, 0.0, 0.0), Rotation(1.2, 0.0, 0.4), Rotation(0.7, np.pi, 0.3)]
+
+
 def unitary(l: int) -> np.ndarray:
     """U of degree l: column j is the complex table of the j-th real unit table."""
     columns = []
@@ -235,14 +241,26 @@ class TestRotations:
             np.testing.assert_allclose(d12, d1 @ d2, atol=1e-10)
 
     def test_real_blocks_are_converted_complex_blocks(self):
-        rotations = [random_rotation(seed) for seed in range(4)]
-        rotations += [Rotation(0.0, 0.0, 0.0), Rotation(1.2, 0.0, 0.4), Rotation(0.7, np.pi, 0.3)]
+        rotations = random_and_gimbal_rotations()
         stacks = wigner_D_blocks(20, rotations)
         for l in (0, 1, 2, 7, 20):
             U = unitary(l)
             for g, block in zip(rotations, stacks[l]):
                 np.testing.assert_allclose(block, U.conj().T @ wigner_D_matrix(l, g) @ U,
                                            atol=1e-12)
+
+    def test_factored_apply_matches_formed_blocks(self):
+        lmax = 47
+        blocks = wigner_D_blocks(lmax, random_and_gimbal_rotations())
+        table = np.random.default_rng(6).standard_normal(((lmax + 1) ** 2, 3))
+        factored = blocks.apply(table)  # first use: through the factors
+        assert not blocks._stacks  # no block was formed
+        formed = blocks.apply(table)  # reuse: through the formed stacks
+        for l in range(lmax + 1):
+            sl = degree_slice(l)
+            expected = np.matmul(blocks[l], table[sl]).transpose(1, 0, 2)
+            np.testing.assert_allclose(factored[sl], expected, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(formed[sl], expected, rtol=0, atol=1e-12)
 
     def test_inverse(self):
         g = random_rotation(9)

@@ -190,7 +190,7 @@ def sht(ctx, scheme, nside, bandwidth, level, n, indexing, lmax, mode, signal, d
         path = _out_path(ctx, "signal.csv", out_override)
         io.write_signal_csv(values, path, _header(
             ctx, "sht", mode=mode, scheme=s.scheme, resolution=s.resolution,
-            lmax=table.lmax))
+            lmax=table.lmax, coeffs=coeffs))
         click.echo(f"wrote synthesized signal to {path}")
         return
     values = _input_signal(s, signal, degree, ctx.obj["seed"])
@@ -303,8 +303,9 @@ def opt_t(ctx, scheme, nside, bandwidth, level, n, indexing, k, degrees,
     io.write_kernel_width_csv(
         rows, path,
         comments=_header(ctx, "opt-t", scheme=scheme,
-                         resolutions=",".join(map(str, resolutions)), k=k,
-                         degrees=degrees, n_signals=n_signals, n_rotations=n_rotations),
+                         resolutions=",".join(map(str, resolutions)), indexing=indexing, k=k,
+                         degrees=degrees, n_signals=n_signals, n_rotations=n_rotations,
+                         lmax_analysis="auto" if lmax_analysis is None else lmax_analysis),
         footer=[f"power-law beta={beta:.6g} prefactor={prefactor:.6g} r2={r2:.6g}"])
     click.echo(f"wrote kernel widths to {path} (beta={beta:.4f}, R^2={r2:.4f})")
 

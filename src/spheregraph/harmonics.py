@@ -415,7 +415,9 @@ class AnalysisPlan:
         ridge = _RIDGE_REL * float(np.mean(self.gram.diagonal()))
         shifted = self.gram.copy()
         shifted[np.diag_indices(ncoef)] += ridge
-        self._cho = sla.cho_factor(shifted, lower=False, overwrite_a=True)
+        # the Gram matrix is exactly symmetric, so its transpose is the same matrix
+        # in Fortran order, which LAPACK factors in place instead of copying
+        self._cho = sla.cho_factor(shifted.T, lower=False, overwrite_a=True)
         diag = np.abs(np.diag(self._cho[0]))
         self.condition_estimate = float((diag.max() / diag.min()) ** 2)
         if self.condition_estimate > _CONDITION_LIMIT:

@@ -83,44 +83,24 @@ def _zphi_to_xyz(z: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return np.column_stack((s * np.cos(phi), s * np.sin(phi), z))
 
 
-def _healpix_ring_zphi(nside: int, p: np.ndarray):
-    """(z, phi) of ring-indexed pixel centers, standard index arithmetic."""
-    npix = 12 * nside * nside
-    ncap = 2 * nside * (nside - 1)
-    z = np.empty(p.shape, dtype=np.float64)
-    phi = np.empty(p.shape, dtype=np.float64)
+def _ring_layout(nside: int):
+    """Rings 1..4*nside-1 from the north pole, a quarter of each one's pixel count, its first index."""
+    rings = np.arange(1, 4 * nside, dtype=np.int64)
+    nr = np.minimum(np.minimum(rings, 4 * nside - rings), nside)
+    return rings, nr, np.cumsum(4 * nr) - 4 * nr
 
-    north = p < ncap
-    belt = (p >= ncap) & (p < npix - ncap)
-    south = p >= npix - ncap
 
-    if np.any(north):
-        pn = p[north]
-        iring = (1 + np.floor(np.sqrt(1.0 + 2.0 * pn)).astype(np.int64)) // 2
-        # guard against fp error at exact squares
-        iring = np.where(2 * iring * (iring + 1) <= pn, iring + 1, iring)
-        iring = np.where(2 * iring * (iring - 1) > pn, iring - 1, iring)
-        iphi = pn - 2 * iring * (iring - 1) + 1
-        z[north] = 1.0 - iring**2 / (3.0 * nside**2)
-        phi[north] = (iphi - 0.5) * np.pi / (2.0 * iring)
-
-    if np.any(belt):
-        ip = p[belt] - ncap
-        iring = ip // (4 * nside) + nside
-        iphi = ip % (4 * nside) + 1
-        fodd = 0.5 * (1 + (iring + nside) % 2)
-        z[belt] = (2.0 * nside - iring) * 2.0 / (3.0 * nside)
-        phi[belt] = (iphi - fodd) * np.pi / (2.0 * nside)
-
-    if np.any(south):
-        ip = npix - p[south]
-        iring = (1 + np.floor(np.sqrt(2.0 * ip - 1.0)).astype(np.int64)) // 2
-        iring = np.where(2 * iring * (iring + 1) < ip, iring + 1, iring)
-        iring = np.where(2 * iring * (iring - 1) >= ip, iring - 1, iring)
-        iphi = 4 * iring + 1 - (ip - 2 * iring * (iring - 1))
-        z[south] = -1.0 + iring**2 / (3.0 * nside**2)
-        phi[south] = (iphi - 0.5) * np.pi / (2.0 * iring)
-
+def _healpix_ring_zphi(nside: int):
+    """(z, phi) of the ring-ordered pixel centers, walking the rings north to south."""
+    rings, nr, start = _ring_layout(nside)
+    i = np.repeat(rings, 4 * nr)  # ring of each pixel
+    iphi = np.arange(i.size) - np.repeat(start, 4 * nr) + 1  # position in its ring, from 1
+    nr = np.repeat(nr, 4 * nr)
+    north, south = i < nside, i > 3 * nside
+    cap = nr**2 / (3.0 * nside**2)
+    z = np.select([north, south], [1.0 - cap, -1.0 + cap], (2.0 * nside - i) * 2.0 / (3.0 * nside))
+    fodd = 0.5 * (1 + (i + nside) % 2)
+    phi = np.where(north | south, (iphi - 0.5) * np.pi / (2.0 * nr), (iphi - fodd) * np.pi / (2.0 * nside))
     return z, phi
 
 
@@ -148,37 +128,22 @@ def _nest_to_xyf(nside: int, p: np.ndarray):
     return ix, iy, face
 
 
-def _healpix_nest_zphi(nside: int, p: np.ndarray):
-    """(z, phi) of nested-indexed pixel centers via face coordinates."""
-    ix, iy, face = _nest_to_xyf(nside, p)
+def _nest_to_ring(nside: int) -> np.ndarray:
+    """Ring-order index of every nested pixel, from its face coordinates."""
+    ix, iy, face = _nest_to_xyf(nside, np.arange(12 * nside * nside, dtype=np.int64))
     jr = _JRLL[face] * nside - ix - iy - 1  # ring index from the north pole
-
-    nr = np.full(p.shape, nside, dtype=np.int64)
-    z = np.empty(p.shape, dtype=np.float64)
-    kshift = np.zeros(p.shape, dtype=np.int64)
-
-    north = jr < nside
-    south = jr > 3 * nside
-    belt = ~(north | south)
-
-    nr[north] = jr[north]
-    z[north] = 1.0 - nr[north] ** 2 / (3.0 * nside**2)
-    nr[south] = 4 * nside - jr[south]
-    z[south] = -1.0 + nr[south] ** 2 / (3.0 * nside**2)
-    z[belt] = (2.0 * nside - jr[belt]) * 2.0 / (3.0 * nside)
-    kshift[belt] = (jr[belt] - nside) & 1
-
-    jp = (_JPLL[face] * nr + ix - iy + 1 + kshift) // 2
-    jp = np.where(jp > 4 * nr, jp - 4 * nr, jp)
-    jp = np.where(jp < 1, jp + 4 * nr, jp)
-    phi = (jp - (kshift + 1) * 0.5) * (np.pi / 2.0) / nr
-    return z, phi
+    _, nr, start = _ring_layout(nside)
+    nr, start = nr[jr - 1], start[jr - 1]
+    kshift = np.where((jr >= nside) & (jr <= 3 * nside), (jr - nside) & 1, 0)
+    jp = (_JPLL[face] * nr + ix - iy + 1 + kshift) // 2  # position in the ring, from 1, before wrapping
+    return start + (jp - 1) % (4 * nr)
 
 
 def healpix_sampling(nside: int, indexing: str = "ring") -> Sampling:
     """HEALPix pixel centers, 12*nside^2 pixels.
 
-    The nested variant carries the pooling hierarchy (parent of child c at
+    The nested variant is the ring-ordered point set permuted by
+    _nest_to_ring, and carries the pooling hierarchy (parent of child c at
     nside/2 is c // 4) whenever nside >= 2.
     """
     if not isinstance(nside, (int, np.integer)) or not _is_power_of_two(int(nside)):
@@ -186,16 +151,11 @@ def healpix_sampling(nside: int, indexing: str = "ring") -> Sampling:
     if indexing not in ("ring", "nested"):
         raise InvalidArgumentError(f"indexing must be 'ring' or 'nested', got {indexing!r}")
     nside = int(nside)
-    p = np.arange(12 * nside * nside, dtype=np.int64)
+    points = _zphi_to_xyz(*_healpix_ring_zphi(nside))
     if indexing == "ring":
-        z, phi = _healpix_ring_zphi(nside, p)
-        hierarchy = None
-        scheme = "healpix-ring"
-    else:
-        z, phi = _healpix_nest_zphi(nside, p)
-        hierarchy = p // 4 if nside >= 2 else None
-        scheme = "healpix-nested"
-    return Sampling(_zphi_to_xyz(z, phi), scheme, nside, hierarchy)
+        return Sampling(points, "healpix-ring", nside)
+    hierarchy = np.arange(12 * nside * nside, dtype=np.int64) // 4 if nside >= 2 else None
+    return Sampling(points[_nest_to_ring(nside)], "healpix-nested", nside, hierarchy)
 
 
 # ---------------------------------------------------------------------------
@@ -334,15 +294,12 @@ def sampling_geometry(s: Sampling) -> SamplingGeometry:
         sv.sort_vertices_of_regions()
         areas = sv.calculate_areas()
 
-    hull = ConvexHull(s.points)
+    simplices = ConvexHull(s.points).simplices
+    i, j = simplices.ravel(), np.roll(simplices, -1, axis=1).ravel()  # the 3 edges of each simplex
+    d = np.linalg.norm(s.points[i] - s.points[j], axis=1)
     neighbor_max = np.zeros(n)
-    for a, b, c in hull.simplices:
-        for i, j in ((a, b), (b, c), (c, a)):
-            d = np.linalg.norm(s.points[i] - s.points[j])
-            if d > neighbor_max[i]:
-                neighbor_max[i] = d
-            if d > neighbor_max[j]:
-                neighbor_max[j] = d
+    np.maximum.at(neighbor_max, i, d)
+    np.maximum.at(neighbor_max, j, d)
     diameters = 0.5 * neighbor_max
     return SamplingGeometry(areas, diameters, float(diameters.max()), float(areas.max()))
 

@@ -8,10 +8,11 @@ from click.testing import CliRunner
 from spheregraph.cli import main
 from spheregraph.filters import FilterCoeffs, filter_apply
 from spheregraph.graphs import WeightScheme, build_graph, heuristic_kernel_width, laplacian
-from spheregraph.harmonics import random_degree_signal
+from spheregraph.harmonics import analysis, random_degree_signal
 from spheregraph.io import (
     read_signal_csv,
     read_sparse_csv,
+    write_coeffs_csv,
     write_filter_csv,
     write_signal_csv,
 )
@@ -89,6 +90,14 @@ class TestShtAndPsd:
         invoke(runner, ["sht", "--scheme", "healpix", "--nside", "4", "--lmax", "5",
                         "--mode", "synth", "--coeffs", str(coeffs), "--out", str(back)])
         np.testing.assert_allclose(read_signal_csv(back), f, atol=1e-8)
+
+    def test_synth_header_records_coeffs(self, runner, tmp_path):
+        coeffs = tmp_path / "c.csv"
+        write_coeffs_csv(analysis(healpix_sampling(2), np.ones(48), 2), coeffs)
+        out = tmp_path / "f.csv"
+        invoke(runner, ["sht", "--scheme", "healpix", "--nside", "2", "--lmax", "2",
+                        "--mode", "synth", "--coeffs", str(coeffs), "--out", str(out)])
+        assert f"# coeffs={coeffs}" in out.read_text().splitlines()
 
     def test_psd_degree_signal_support(self, runner, tmp_path):
         out = tmp_path / "p.csv"
@@ -181,6 +190,15 @@ class TestSweepCommands:
         t_opt = [float(l.split(",")[3]) for l in lines[1:]]
         assert all(v > 0 for v in t_opt)
         assert "power-law beta=" in text
+
+    def test_opt_t_header_records_indexing_and_band(self, runner, tmp_path):
+        out = tmp_path / "w.csv"
+        invoke(runner, ["--seed", "4", "opt-t", "--scheme", "healpix", "--indexing", "nested",
+                        "--nside", "2,4,8", "--k", "6", "--degrees", "2,3", "--n-signals", "2",
+                        "--n-rotations", "2", "--lmax-analysis", "3", "--out", str(out)])
+        header = [l for l in out.read_text().splitlines() if l.startswith("#")]
+        assert "# indexing=nested" in header
+        assert "# lmax_analysis=3" in header
 
     def test_opt_t_needs_three_resolutions(self, runner):
         result = runner.invoke(main, ["opt-t", "--scheme", "healpix", "--nside", "2,4",

@@ -3,9 +3,10 @@
 Each case runs one CLI command and compares the sha256 of the CSV it writes
 with a recorded digest. The graph and filter digests were recorded before the
 kNN pipeline was folded into a single tree query; the sample and pool digests
-before the CSV writers were rebuilt around one table writer. A changed digest
-means changed output bytes: a different sampling, neighbour set, weight, tie
-order, pooled value or float formatting.
+before the CSV writers were rebuilt around one table writer; the nested sample
+digest before nested pixel centres became a permutation of the ring centres.
+A changed digest means changed output bytes: a different sampling, neighbour
+set, weight, tie order, pooled value or float formatting.
 
 Commands whose last bits depend on the CPU's BLAS kernels (sht, psd,
 equiv-sweep, opt-t) are left out; tests/test_io.py checks every writer's
@@ -55,6 +56,10 @@ GOLDEN = {
     "sample-healpix": (
         ["sample", "--scheme", "healpix", "--nside", "8"],
         "d23f267214b0b7aaab97057d62bc79caf3528025da2a46489be360c4cafc1da3",
+    ),
+    "sample-healpix-nested": (
+        ["sample", "--scheme", "healpix", "--nside", "8", "--indexing", "nested"],
+        "f033727c57ef54cb85a9261f961f8bbe794695f1d09211a81ad4775f741006c9",
     ),
     "sample-equiangular": (
         ["sample", "--scheme", "equiangular", "--bandwidth", "4"],

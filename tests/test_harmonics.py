@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +182,21 @@ class TestAnalysisSynthesis:
         with pytest.raises(InvalidArgumentError, match="needs about 448.0 GiB"):
             AnalysisPlan(s, 255)
         assert time.perf_counter() - start < 0.5
+
+    def test_gram_factored_without_extra_copy(self):
+        # beyond what the plan keeps (basis, Gram matrix, factor), building it
+        # may hold less than one more m x m matrix: the factor is the ridged
+        # Gram copy itself, not a further Fortran-ordered copy of it
+        s, lmax = healpix_sampling(8), 23
+        m = (lmax + 1) ** 2
+        tracemalloc.start()
+        try:
+            plan = AnalysisPlan(s, lmax)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = plan.basis.nbytes + plan.gram.nbytes + plan._cho[0].nbytes
+        assert (peak - held) / (8 * m * m) < 0.9
 
     def test_condition_estimate_reported(self):
         s = random_uniform_sampling(40, 2)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from spheregraph.errors import InvalidArgumentError
 from spheregraph.io import write_sampling_csv
@@ -226,6 +227,18 @@ class TestSamplingGeometry:
             ds.append(sampling_geometry(s).max_diameter)
         slope = np.polyfit(np.log(ns), np.log(ds), 1)[0]
         assert abs(slope - (-0.5)) < 0.1
+
+    def test_diameters_match_edge_loop(self):
+        # reference: half the longest hull edge at each point, one edge at a time
+        for s in (healpix_sampling(4), icosahedral_sampling(2), random_uniform_sampling(300, 5)):
+            longest = np.zeros(s.n)
+            for a, b, c in ConvexHull(s.points).simplices:
+                for i, j in ((a, b), (b, c), (c, a)):
+                    d = np.linalg.norm(s.points[i] - s.points[j])
+                    longest[i], longest[j] = max(longest[i], d), max(longest[j], d)
+            # the row-wise norm may round differently from the 1-D one: allow a few ulps
+            np.testing.assert_allclose(sampling_geometry(s).patch_diameters, 0.5 * longest,
+                                       rtol=4 * np.finfo(float).eps, atol=0)
 
     def test_duplicate_points_rejected(self):
         pts = np.array([[0, 0, 1.0], [0, 0, 1.0], [1, 0, 0], [0, 1, 0]])

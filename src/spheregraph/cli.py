@@ -333,7 +333,7 @@ def filter_cmd(ctx, scheme, nside, bandwidth, level, n, indexing, k, weight,
     path = _out_path(ctx, "filtered.csv", out_override)
     io.write_signal_csv(out_values, path, _header(
         ctx, "filter", scheme=s.scheme, resolution=s.resolution, k=k, weight=weight,
-        t=t, basis=h.basis, order=h.order,
+        t=t, spec=spec, basis=h.basis, order=h.order,
         signal=signal or f"random-degree-{degree}"))
     click.echo(f"wrote filtered signal to {path}")
 

@@ -69,7 +69,8 @@ def knn_support(s: Sampling, k: int):
     pad = 8
     while True:
         kq = min(n, k + 1 + pad)
-        dist, idx = tree.query(s.points, k=kq)
+        # each point's search is independent: the result is the same on any number of threads
+        dist, idx = tree.query(s.points, k=kq, workers=-1)
         thresh = dist[:, k] * (1.0 + _TIE_REL_TOL)
         if kq == n or not np.any(dist[:, -1] <= thresh):
             break
@@ -174,6 +175,10 @@ def heuristic_kernel_width(s: Sampling, k: int, kind: str = "half-mean-square") 
     'half-mean-square' is half the average squared chordal distance over
     directed kNN pairs; 'mean-distance' is the plain average distance. Both
     conventions appear in practice, so each is exposed under its own name.
+
+    This runs its own kNN query, so following it with build_graph on the same
+    sampling and k queries twice; GaussianGraphFamily(s, k) gives the width
+    (heuristic_width) and the graph from one query.
     """
     return GaussianGraphFamily(s, k).heuristic_width(kind)
 

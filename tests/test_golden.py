@@ -5,6 +5,8 @@ with a recorded digest. The graph and filter digests were recorded before the
 kNN pipeline was folded into a single tree query; the sample and pool digests
 before the CSV writers were rebuilt around one table writer; the nested sample
 digest before nested pixel centres became a permutation of the ring centres.
+The filter digest was re-recorded when the filter header gained its `spec=`
+line, the only bytes that changed.
 A changed digest means changed output bytes: a different sampling, neighbour
 set, weight, tie order, pooled value or float formatting.
 
@@ -51,7 +53,7 @@ GOLDEN = {
         ["filter", "--scheme", "healpix", "--nside", "8", "--k", "8",
          "--weight", "gaussian", "--t", "heuristic", "--spec", "h.csv",
          "--signal", "f.csv"],
-        "12250953dc174ca0d5962baedf2f08adc2056bc0a4166c45085e373b14d98786",
+        "fa85ac8dee68cb9343f372f935ebc09e46daa1739d80522b09216af899969072",
     ),
     "sample-healpix": (
         ["sample", "--scheme", "healpix", "--nside", "8"],

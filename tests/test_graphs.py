@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.spatial import cKDTree
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_neighbors
+from spheregraph import graphs
 from spheregraph.errors import InvalidArgumentError, NumericalFailureError, SingularWeightError
 from spheregraph.graphs import (
     GaussianGraphFamily,
@@ -64,6 +66,31 @@ class TestKnnEdges:
     def test_k_out_of_range(self):
         with pytest.raises(InvalidArgumentError):
             knn_edges(healpix_sampling(1), 12)
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: healpix_sampling(64), id="healpix-64-ring"),
+        pytest.param(lambda: healpix_sampling(64, "nested"), id="healpix-64-nested"),
+        pytest.param(lambda: icosahedral_sampling(4), id="icosahedral-4"),
+        pytest.param(lambda: equiangular_sampling(32), id="equiangular-32"),
+        pytest.param(lambda: random_uniform_sampling(5000, seed=7), id="random-5000"),
+    ])
+    @pytest.mark.parametrize("k", [8, 40])
+    def test_support_independent_of_thread_count(self, monkeypatch, make, k):
+        s = make()
+        all_cores = graphs.knn_support(s, k)
+        workers = []
+
+        class SingleWorkerTree(cKDTree):
+            def query(self, x, **kwargs):
+                workers.append(kwargs.get("workers"))
+                return super().query(x, **{**kwargs, "workers": 1})
+
+        monkeypatch.setattr(graphs, "cKDTree", SingleWorkerTree)
+        one_worker = graphs.knn_support(s, k)
+        assert workers and all(w == -1 for w in workers)  # the library asks for every core
+        for got, want in zip(all_cores, one_worker):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestBuildGraph:

@@ -98,6 +98,9 @@ class TestReadFilterCsv:
             read_filter_csv(path)
 
 
+PAST_CHUNK = io._CHUNK_ROWS + 10  # data lines before the bad one
+
+
 @pytest.mark.parametrize("reader, text, where", [
     pytest.param(read_signal_csv, "index,value\n1\n", "line 2", id="signal-short-row"),
     pytest.param(read_signal_csv, "index,value\n1,abc\n", "line 2", id="signal-non-numeric"),
@@ -107,6 +110,15 @@ class TestReadFilterCsv:
     pytest.param(read_sparse_csv, "4,1,0\n0,1,0.5\n", "line 1", id="sparse-three-field-count"),
     pytest.param(read_filter_csv, "basis,P,lambda_max\nmonomial,x,,1.0\n", "line 2",
                  id="filter-non-integer-order"),
+    pytest.param(read_signal_csv, f"index,value\n0,1\n{2**63},2\n", "line 3",
+                 id="signal-index-past-int64"),
+    pytest.param(read_sparse_csv, f"3,1\n0,{-2**63 - 1},1\n", "line 2",
+                 id="sparse-index-past-int64"),
+    # past the first chunk of lines, after comment and blank lines
+    pytest.param(read_sparse_csv, "# c\n3,9\n" + "0,1,0.5\n" * PAST_CHUNK + "# c\n\n0,1\n",
+                 f"line {PAST_CHUNK + 5}", id="sparse-short-row-past-chunk"),
+    pytest.param(read_signal_csv, "index,value\n" + "0,1\n" * PAST_CHUNK + "\n# c\n1,abc\n",
+                 f"line {PAST_CHUNK + 4}", id="signal-non-numeric-past-chunk"),
 ])
 def test_malformed_row_names_file_and_line(tmp_path, reader, text, where):
     path = write(tmp_path / "bad.csv", text)
@@ -199,19 +211,30 @@ def ref_write_kernel_width_csv(rows, path, comments=None, footer=None):
 
 SPECIAL = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308,
            -1.7976931348623157e308, 2.2250738585072014e-308, 0.1, -1 / 3]
+# Few distinct values, repeated: the table writer formats each distinct value
+# once, so values that compare equal but print differently (0.0 and -0.0) must
+# keep their own strings. The NaNs are quiet NaNs of both signs and two payloads.
+REPEATED = [0.0, -0.0, 0.5, -1 / 3, *np.array(
+    [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0xFFF8000000000001],
+    dtype=np.uint64).view(np.float64)]
 BIG = 2**31  # int64 indices from here up do not fit in 32 bits
 
 
-def _writer_args(name, n):
-    """Arguments for writer `name` giving a table of about n rows built from SPECIAL."""
-    v = np.resize(np.array(SPECIAL), n)
+def _writer_args(name, n, values, period):
+    """Arguments for writer `name` giving a table of about n rows built from
+    `values`; with a `period`, the indices repeat with that period, so each
+    one recurs in every chunk."""
+    v = np.resize(np.array(values), n)
     w = v[::-1].copy()
-    ints = BIG + np.arange(n, dtype=np.int64) * 7919
+    ints = BIG + np.arange(n, dtype=np.int64) % (period or max(n, 1)) * 7919
     if name == "sampling":
         return (Sampling(np.column_stack([v, w, -v]), "custom", n),)
     if name == "sparse":
         shape = (int(BIG + 7919 * n + 1),) * 2
-        rows = np.roll(ints, 3)  # unsorted, so the writer's row-major order shows
+        if period:  # distinct (row, col) pairs, each col in every row block
+            rows = BIG + np.arange(n, dtype=np.int64) // period * 7919
+        else:
+            rows = np.roll(ints, 3)  # unsorted, so the writer's row-major order shows
         return (sp.coo_matrix((v, (rows, ints)), shape=shape),)
     if name == "coeffs":
         lmax = math.isqrt(max(n - 1, 0))  # (lmax + 1)**2 >= n rows
@@ -242,12 +265,19 @@ WRITERS = {
 }
 
 
-@pytest.mark.parametrize("rows", [len(SPECIAL), 0, 2 * io._CHUNK_ROWS + 3],
-                         ids=["special-values", "zero-rows", "past-two-chunks"])
+TABLES = {  # rows, values, index period
+    "special-values": (len(SPECIAL), SPECIAL, None),
+    "zero-rows": (0, SPECIAL, None),
+    "past-two-chunks": (2 * io._CHUNK_ROWS + 3, SPECIAL, None),
+    "repeats-past-two-chunks": (2 * io._CHUNK_ROWS + 3, REPEATED, 7),
+}
+
+
+@pytest.mark.parametrize("table", list(TABLES))
 @pytest.mark.parametrize("name", sorted(WRITERS))
-def test_writer_matches_reference_bytes(tmp_path, name, rows):
+def test_writer_matches_reference_bytes(tmp_path, name, table):
     writer, reference = WRITERS[name]
-    args = _writer_args(name, rows)
+    args = _writer_args(name, *TABLES[table])
     comments = ["spheregraph 0.1.0", "t=50%"]  # '%' must pass through verbatim
     extra = {"footer": ["power-law beta=nan", "r2=100%"]} if name == "kernel_width" else {}
     writer(*args, tmp_path / "new.csv", comments, **extra)

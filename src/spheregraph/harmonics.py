@@ -386,11 +386,12 @@ class AnalysisPlan:
     """Factorized least-squares analysis for one (sampling, lmax) pair.
 
     Holds the real basis matrix B (evaluate_real_basis), the Gram matrix
-    G = B^T B, and a Cholesky factor of G + ridge*I (ridge 1e-12 relative to
-    the mean Gram diagonal). Tables in and out are real-basis tables. Where a
-    sampling theorem holds the ridge solve reduces to the exact transform;
-    elsewhere it is the regularized approximation of the inverse sampling
-    operator.
+    G = B^T B, and the inverse R^-1 of the upper Cholesky factor of
+    G + ridge*I = R^T R (ridge 1e-12 relative to the mean Gram diagonal).
+    The condition estimate is read from R's diagonal before it is inverted.
+    Tables in and out are real-basis tables. Where a sampling theorem holds
+    the ridge solve reduces to the exact transform; elsewhere it is the
+    regularized approximation of the inverse sampling operator.
     """
 
     def __init__(self, s: Sampling, lmax: int):
@@ -400,7 +401,7 @@ class AnalysisPlan:
                 f"analysis needs (lmax+1)^2 <= n: {ncoef} > {s.n}"
             )
         # doubles: the real basis (n*m), the complex basis it is converted
-        # from (2*n*m), the Gram matrix and its factor (m*m each)
+        # from (2*n*m), the Gram matrix and its inverse factor (m*m each)
         need = 8 * (3 * s.n * ncoef + 2 * ncoef * ncoef)
         memory = _physical_memory_bytes()
         if need > memory:
@@ -417,8 +418,8 @@ class AnalysisPlan:
         shifted[np.diag_indices(ncoef)] += ridge
         # the Gram matrix is exactly symmetric, so its transpose is the same matrix
         # in Fortran order, which LAPACK factors in place instead of copying
-        self._cho = sla.cho_factor(shifted.T, lower=False, overwrite_a=True)
-        diag = np.abs(np.diag(self._cho[0]))
+        factor, _ = sla.cho_factor(shifted.T, lower=False, overwrite_a=True)
+        diag = np.abs(np.diag(factor))
         self.condition_estimate = float((diag.max() / diag.min()) ** 2)
         if self.condition_estimate > _CONDITION_LIMIT:
             raise IllPosedAnalysisError(
@@ -426,14 +427,28 @@ class AnalysisPlan:
                 f"(condition estimate {self.condition_estimate:.2e})",
                 condition_estimate=self.condition_estimate,
             )
+        # R^-1 in place of R, so that solve is two numpy GEMMs: scipy's
+        # triangular solves run on scipy's own OpenBLAS thread pool, which
+        # fights numpy's for the cores when the two alternate
+        self._r_inv, info = sla.lapack.dtrtri(factor, lower=0, overwrite_c=1)
+        if info != 0:
+            raise NumericalFailureError(f"inverting the Gram factor failed (LAPACK info {info})",
+                                        {"info": info})
+        # the strict lower triangle still holds the Gram matrix; clearing it
+        # column by column (contiguous in Fortran order) makes no m x m copy
+        for j in range(ncoef - 1):
+            self._r_inv[j + 1:, j] = 0.0
 
     def analyze_table(self, signal: np.ndarray) -> np.ndarray:
         """Least-squares real-basis table(s) for pixel values (n,) or (n, cols)."""
         return self.solve(self.basis.T @ signal)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """(G + ridge I)^-1 rhs from the Cholesky factor."""
-        return sla.cho_solve(self._cho, rhs, check_finite=False)
+        """(G + ridge I)^-1 rhs = R^-1 (R^-T rhs), for G + ridge I = R^T R.
+
+        Two numpy matrix products with the inverse factor, and no scipy call.
+        """
+        return self._r_inv @ (self._r_inv.T @ rhs)
 
     def synthesize_values(self, values: np.ndarray) -> np.ndarray:
         return self.basis @ values

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -220,6 +221,23 @@ class TestOptimizeKernelWidth:
             optimize_kernel_width(s, 5, [2], cfg, family=family)
         with pytest.raises(InvalidArgumentError):
             optimize_kernel_width(healpix_sampling(2), 4, [2], cfg, family=family)
+
+    def test_search_calls_nothing_in_scipy_linalg(self, monkeypatch):
+        # numpy and scipy each load their own OpenBLAS with its own thread
+        # pool; once the plan is built, the objective loop stays on numpy's
+        s = healpix_sampling(4)
+        band = reliable_band(s)
+        engine = SweepEngine(s, band)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scipy.linalg called after the plan was built")
+
+        for name in scipy.linalg.__all__:
+            obj = getattr(scipy.linalg, name)
+            if callable(obj) and not isinstance(obj, type):
+                monkeypatch.setattr(scipy.linalg, name, forbidden)
+        degrees = list(range(1, min(15, band) + 1))
+        assert optimize_kernel_width(s, 8, degrees, EquivarianceConfig(), engine=engine) > 0
 
     @pytest.mark.parametrize("make, k", [
         # not unimodal: a second basin below a bump near t_h/21

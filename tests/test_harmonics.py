@@ -3,11 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.special import sph_harm_y
 from scipy.stats import kstest
 
-from spheregraph.errors import IllPosedAnalysisError, InvalidArgumentError
+from spheregraph.errors import IllPosedAnalysisError, InvalidArgumentError, NumericalFailureError
 from spheregraph.harmonics import (
+    _RIDGE_REL,
     AnalysisPlan,
     HarmonicCoeffs,
     Rotation,
@@ -33,7 +35,9 @@ from spheregraph.io import read_coeffs_csv, write_coeffs_csv
 from spheregraph.samplings import (
     equiangular_sampling,
     healpix_sampling,
+    icosahedral_sampling,
     random_uniform_sampling,
+    reliable_band,
     rotation_permutation,
     z_rotation_matrix,
 )
@@ -51,6 +55,13 @@ def random_and_gimbal_rotations() -> list:
     """Four Haar draws, the identity, and the beta = 0 and beta = pi cases."""
     rotations = [random_rotation(seed) for seed in range(4)]
     return rotations + [Rotation(0.0, 0.0, 0.0), Rotation(1.2, 0.0, 0.4), Rotation(0.7, np.pi, 0.3)]
+
+
+def _ridged_gram(plan: AnalysisPlan) -> np.ndarray:
+    """G + ridge I, the matrix the plan solves with, formed from the Gram matrix."""
+    shifted = plan.gram.copy()
+    shifted[np.diag_indices_from(shifted)] += _RIDGE_REL * np.mean(plan.gram.diagonal())
+    return shifted
 
 
 def unitary(l: int) -> np.ndarray:
@@ -184,9 +195,9 @@ class TestAnalysisSynthesis:
         assert time.perf_counter() - start < 0.5
 
     def test_gram_factored_without_extra_copy(self):
-        # beyond what the plan keeps (basis, Gram matrix, factor), building it
-        # may hold less than one more m x m matrix: the factor is the ridged
-        # Gram copy itself, not a further Fortran-ordered copy of it
+        # beyond what the plan keeps (basis, Gram matrix, inverse factor),
+        # building it may hold less than one more m x m matrix: the factor and
+        # then its inverse are the ridged Gram copy itself, not further copies
         s, lmax = healpix_sampling(8), 23
         m = (lmax + 1) ** 2
         tracemalloc.start()
@@ -195,8 +206,39 @@ class TestAnalysisSynthesis:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        held = plan.basis.nbytes + plan.gram.nbytes + plan._cho[0].nbytes
+        held = plan.basis.nbytes + plan.gram.nbytes + plan._r_inv.nbytes
         assert (peak - held) / (8 * m * m) < 0.9
+
+    def test_failed_factor_inversion_raises(self, monkeypatch):
+        monkeypatch.setattr(sla.lapack, "dtrtri", lambda c, lower, overwrite_c: (c, 3))
+        with pytest.raises(NumericalFailureError, match="LAPACK info 3"):
+            AnalysisPlan(healpix_sampling(2), 5)
+
+    @pytest.mark.parametrize("make", [
+        lambda: healpix_sampling(8),
+        lambda: healpix_sampling(16),
+        lambda: equiangular_sampling(16),
+    ], ids=["healpix-8", "healpix-16", "equiangular-16"])
+    def test_solve_matches_cholesky_solve(self, make):
+        s = make()
+        plan = AnalysisPlan(s, reliable_band(s))
+        rhs = plan.basis.T @ np.random.default_rng(3).standard_normal((s.n, 5))
+        want = sla.cho_solve(sla.cho_factor(_ridged_gram(plan)), rhs)
+        got = plan.solve(rhs)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("make", [
+        lambda: icosahedral_sampling(3),
+        lambda: icosahedral_sampling(4),
+        lambda: random_uniform_sampling(800, 0),
+    ], ids=["icosahedral-3", "icosahedral-4", "random-800"])
+    def test_solve_residual_on_ill_conditioned_gram(self, make):
+        # right-hand sides B^T f, as analysis and degree_ops pass them
+        s = make()
+        plan = AnalysisPlan(s, reliable_band(s))
+        rhs = plan.basis.T @ np.random.default_rng(3).standard_normal((s.n, 5))
+        residual = _ridged_gram(plan) @ plan.solve(rhs) - rhs
+        assert np.linalg.norm(residual) <= 1e-11 * np.linalg.norm(rhs)
 
     def test_condition_estimate_reported(self):
         s = random_uniform_sampling(40, 2)

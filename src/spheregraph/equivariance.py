@@ -18,6 +18,7 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from math import isqrt
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -128,11 +129,12 @@ class _CellDraws:
 class SweepEngine:
     """Shared factorization for Monte-Carlo equivariance estimates.
 
-    One engine holds the analysis plan (real basis matrix and Gram
-    factorization); every array it computes is real. It keeps no draws:
+    One engine holds the analysis plan (real basis matrix and inverse
+    Cholesky factor); every array it computes is real. It keeps no draws:
     `draws` rebuilds a cell's draws bit for bit from the cell's seed, and
     kernel-width optimization holds on to the draws it got, so every width
-    sees identical draws (common random numbers).
+    sees identical draws (common random numbers). The per-draw numerator is
+    the commutator R(g) L f - L R(g) f in pixel values, as in its definition.
     """
 
     def __init__(self, s: Sampling, lmax_analysis: int):
@@ -144,48 +146,42 @@ class SweepEngine:
         return _CellDraws(self.sampling, k, weight_kind, l, cfg, self.lmax)
 
     def degree_ops(self, L, max_degree: int):
-        """t-dependent matrices: H = B^T L B_sig, Ltil = (G+ridge)^-1 H, N = (L B_sig)^T (L B_sig)."""
+        """t-dependent matrices for signal degrees up to max_degree: M = L B_sig,
+        the Laplacian applied to the basis columns, and Ltil = (G+ridge)^-1 B^T M,
+        their analysis tables."""
         if max_degree > self.lmax:
             raise InvalidArgumentError(
                 f"degree {max_degree} exceeds lmax_analysis={self.lmax}"
             )
         msig = (max_degree + 1) ** 2
         m_mat = L @ self.plan.basis[:, :msig]
-        h_mat = self.plan.basis.T @ m_mat
-        ltil = self.plan.solve(h_mat)
-        n_mat = m_mat.T @ m_mat
+        ltil = self.plan.solve(self.plan.basis.T @ m_mat)
         linf = float(np.abs(L).sum(axis=1).max())
-        return _DegreeOps(h_mat, ltil, n_mat, linf)
+        return _DegreeOps(m_mat, ltil, linf)
 
     def cell_error(self, ops: "_DegreeOps", draws: _CellDraws, l: int) -> MeanError:
         """Mean and std of the per-draw error over the cell's frozen draws."""
+        max_degree = isqrt(ops.ltil.shape[1]) - 1
+        if l > max_degree:
+            raise InvalidArgumentError(f"degree {l} exceeds the operators' max degree {max_degree}")
         sl = degree_slice(l)
         a = draws.signals  # (2l+1, n_signals)
-        ltil_l = ops.ltil[:, sl]
-        h_l = ops.h[:, sl]
-        n_ll = ops.n[sl, sl]
-        g_ll = self.plan.gram[sl, sl]
-
-        c = ltil_l @ a  # (m, n_signals)
-        lf_norm2 = np.einsum("is,ij,js->s", a, n_ll, a)
-        f_norm2 = np.einsum("is,ij,js->s", a, g_ll, a)
+        m_l = ops.m[:, sl]
+        lf = m_l @ a  # L f in pixel values, (n, n_signals)
+        f = self.plan.basis[:, sl] @ a
+        lf_norm2 = np.einsum("is,is->s", lf, lf)
+        f_norm2 = np.einsum("is,is->s", f, f)
         valid = lf_norm2 > (1e-12 * ops.linf) ** 2 * f_norm2
 
         # column j * n_s + i holds rotation j applied to signal i
         n_s = a.shape[1]
         n_r = len(draws.rotations)
-        u_all = draws.blocks.apply(c).reshape(-1, n_r * n_s)
+        u_all = draws.blocks.apply(ops.ltil[:, sl] @ a).reshape(-1, n_r * n_s)
         d_all = np.matmul(draws.blocks[l], a).transpose(1, 0, 2).reshape(-1, n_r * n_s)
 
-        gu = self.plan.gram @ u_all
-        hd = h_l @ d_all
-        nd = n_ll @ d_all
-        num2 = (
-            np.einsum("ij,ij->j", u_all, gu)
-            - 2.0 * np.einsum("ij,ij->j", u_all, hd)
-            + np.einsum("ij,ij->j", d_all, nd)
-        )
-        num2 = np.maximum(num2, 0.0)
+        diff = self.plan.basis @ u_all  # R(g) L f
+        diff -= m_l @ d_all  # L R(g) f
+        num2 = np.einsum("ij,ij->j", diff, diff)
 
         errs = num2.reshape(n_r, n_s) / lf_norm2[None, :]
         errs = errs[:, valid].ravel()
@@ -201,9 +197,8 @@ class SweepEngine:
 
 
 class _DegreeOps(NamedTuple):
-    h: np.ndarray
+    m: np.ndarray
     ltil: np.ndarray
-    n: np.ndarray
     linf: float
 
 
@@ -275,6 +270,8 @@ def optimize_kernel_width(s: Sampling, k: int, degrees: Sequence[int],
         raise InvalidArgumentError("family must be GaussianGraphFamily(s, k) of this sampling and k")
     if engine is None:
         engine = SweepEngine(s, _resolve_lmax(s, cfg))
+    elif engine.sampling is not s:
+        raise InvalidArgumentError("engine must be a SweepEngine of this sampling")
     if draws is None:
         draws = {l: engine.draws(k, "gaussian", l, cfg) for l in degrees}
 

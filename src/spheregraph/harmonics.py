@@ -385,13 +385,14 @@ def _physical_memory_bytes() -> int:
 class AnalysisPlan:
     """Factorized least-squares analysis for one (sampling, lmax) pair.
 
-    Holds the real basis matrix B (evaluate_real_basis), the Gram matrix
-    G = B^T B, and the inverse R^-1 of the upper Cholesky factor of
-    G + ridge*I = R^T R (ridge 1e-12 relative to the mean Gram diagonal).
-    The condition estimate is read from R's diagonal before it is inverted.
-    Tables in and out are real-basis tables. Where a sampling theorem holds
-    the ridge solve reduces to the exact transform; elsewhere it is the
-    regularized approximation of the inverse sampling operator.
+    Holds the real basis matrix B (evaluate_real_basis) and the inverse R^-1
+    of the upper Cholesky factor of G + ridge*I = R^T R, where G = B^T B and
+    the ridge is 1e-12 relative to the mean Gram diagonal. G is formed,
+    factored and inverted in one m x m array and is not kept. The condition
+    estimate is read from R's diagonal before it is inverted. Tables in and
+    out are real-basis tables. Where a sampling theorem holds the ridge solve
+    reduces to the exact transform; elsewhere it is the regularized
+    approximation of the inverse sampling operator.
     """
 
     def __init__(self, s: Sampling, lmax: int):
@@ -401,8 +402,8 @@ class AnalysisPlan:
                 f"analysis needs (lmax+1)^2 <= n: {ncoef} > {s.n}"
             )
         # doubles: the real basis (n*m), the complex basis it is converted
-        # from (2*n*m), the Gram matrix and its inverse factor (m*m each)
-        need = 8 * (3 * s.n * ncoef + 2 * ncoef * ncoef)
+        # from (2*n*m), and one m*m array that holds G, then R, then R^-1
+        need = 8 * (3 * s.n * ncoef + ncoef * ncoef)
         memory = _physical_memory_bytes()
         if need > memory:
             raise InvalidArgumentError(
@@ -412,13 +413,11 @@ class AnalysisPlan:
         self.sampling = s
         self.lmax = lmax
         self.basis = evaluate_real_basis(s, lmax)
-        self.gram = self.basis.T @ self.basis
-        ridge = _RIDGE_REL * float(np.mean(self.gram.diagonal()))
-        shifted = self.gram.copy()
-        shifted[np.diag_indices(ncoef)] += ridge
-        # the Gram matrix is exactly symmetric, so its transpose is the same matrix
-        # in Fortran order, which LAPACK factors in place instead of copying
-        factor, _ = sla.cho_factor(shifted.T, lower=False, overwrite_a=True)
+        # the upper triangle of G; B^T is B in Fortran order, so BLAS reads it
+        # in place, and the strict lower triangle stays zero from here to R^-1
+        gram = sla.blas.dsyrk(1.0, self.basis.T, lower=0)
+        gram[np.diag_indices(ncoef)] += _RIDGE_REL * float(np.mean(gram.diagonal()))
+        factor, _ = sla.cho_factor(gram, lower=False, overwrite_a=True)
         diag = np.abs(np.diag(factor))
         self.condition_estimate = float((diag.max() / diag.min()) ** 2)
         if self.condition_estimate > _CONDITION_LIMIT:
@@ -434,10 +433,6 @@ class AnalysisPlan:
         if info != 0:
             raise NumericalFailureError(f"inverting the Gram factor failed (LAPACK info {info})",
                                         {"info": info})
-        # the strict lower triangle still holds the Gram matrix; clearing it
-        # column by column (contiguous in Fortran order) makes no m x m copy
-        for j in range(ncoef - 1):
-            self._r_inv[j + 1:, j] = 0.0
 
     def analyze_table(self, signal: np.ndarray) -> np.ndarray:
         """Least-squares real-basis table(s) for pixel values (n,) or (n, cols)."""
@@ -449,9 +444,6 @@ class AnalysisPlan:
         Two numpy matrix products with the inverse factor, and no scipy call.
         """
         return self._r_inv @ (self._r_inv.T @ rhs)
-
-    def synthesize_values(self, values: np.ndarray) -> np.ndarray:
-        return self.basis @ values
 
 
 def analysis(s: Sampling, signal: np.ndarray, lmax: int,
@@ -490,7 +482,7 @@ class RotationOperator:
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         table = self.plan.analyze_table(np.asarray(f, dtype=np.float64))
-        return self.plan.synthesize_values(self.blocks.apply(table)[:, 0])
+        return self.plan.basis @ self.blocks.apply(table)[:, 0]
 
     __call__ = apply
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -162,6 +163,25 @@ class TestMeanEquivarianceError:
         assert scaled.samples == base.samples == 12
         assert scaled.mean == pytest.approx(base.mean, rel=1e-12)
 
+    @pytest.mark.parametrize("c", [1e-20, 1.0, 1e20])
+    @pytest.mark.parametrize("l", [1, 3, 5])
+    def test_scaled_identity_commutes_to_ridge_level(self, hp4_setup, c, l):
+        # c I commutes with every rotation; what is left is the analysis
+        # ridge (1e-12 relative), squared, and it must not depend on c
+        s, _ = hp4_setup
+        engine = SweepEngine(s, 11)
+        ops = engine.degree_ops(c * scipy.sparse.identity(s.n, format="csr"), l)
+        res = engine.cell_error(ops, engine.draws(8, "gaussian", l, EquivarianceConfig(seed=3)), l)
+        assert res.samples == 100
+        assert res.mean < 1e-20
+
+    def test_cell_error_degree_beyond_ops_rejected(self, hp4_setup):
+        s, lap = hp4_setup
+        engine = SweepEngine(s, 11)
+        ops = engine.degree_ops(lap, 3)
+        with pytest.raises(InvalidArgumentError, match="max degree 3"):
+            engine.cell_error(ops, engine.draws(8, "gaussian", 4, EquivarianceConfig()), 4)
+
     @pytest.mark.parametrize("make, k", [(lambda: healpix_sampling(4), 8),
                                          (lambda: healpix_sampling(8), 20)])
     def test_first_and_repeated_use_agree(self, make, k):
@@ -221,6 +241,12 @@ class TestOptimizeKernelWidth:
             optimize_kernel_width(s, 5, [2], cfg, family=family)
         with pytest.raises(InvalidArgumentError):
             optimize_kernel_width(healpix_sampling(2), 4, [2], cfg, family=family)
+
+    def test_engine_of_other_sampling_rejected(self):
+        s = healpix_sampling(2)
+        engine = SweepEngine(healpix_sampling(2), 5)
+        with pytest.raises(InvalidArgumentError, match="engine"):
+            optimize_kernel_width(s, 4, [2], EquivarianceConfig(2, 2, 0, 5), engine=engine)
 
     def test_search_calls_nothing_in_scipy_linalg(self, monkeypatch):
         # numpy and scipy each load their own OpenBLAS with its own thread

@@ -7,6 +7,7 @@ import scipy.linalg as sla
 from scipy.special import sph_harm_y
 from scipy.stats import kstest
 
+from spheregraph import harmonics
 from spheregraph.errors import IllPosedAnalysisError, InvalidArgumentError, NumericalFailureError
 from spheregraph.harmonics import (
     _RIDGE_REL,
@@ -58,10 +59,10 @@ def random_and_gimbal_rotations() -> list:
 
 
 def _ridged_gram(plan: AnalysisPlan) -> np.ndarray:
-    """G + ridge I, the matrix the plan solves with, formed from the Gram matrix."""
-    shifted = plan.gram.copy()
-    shifted[np.diag_indices_from(shifted)] += _RIDGE_REL * np.mean(plan.gram.diagonal())
-    return shifted
+    """G + ridge I, the matrix the plan solves with, formed from the plan's basis."""
+    gram = plan.basis.T @ plan.basis
+    gram[np.diag_indices_from(gram)] += _RIDGE_REL * np.mean(gram.diagonal())
+    return gram
 
 
 def unitary(l: int) -> np.ndarray:
@@ -190,24 +191,27 @@ class TestAnalysisSynthesis:
         if _physical_memory_bytes() > 2**39:
             pytest.skip("the plan fits in this machine's memory")
         start = time.perf_counter()
-        with pytest.raises(InvalidArgumentError, match="needs about 448.0 GiB"):
+        with pytest.raises(InvalidArgumentError, match="needs about 416.0 GiB"):
             AnalysisPlan(s, 255)
         assert time.perf_counter() - start < 0.5
 
-    def test_gram_factored_without_extra_copy(self):
-        # beyond what the plan keeps (basis, Gram matrix, inverse factor),
-        # building it may hold less than one more m x m matrix: the factor and
-        # then its inverse are the ridged Gram copy itself, not further copies
+    def test_gram_factored_without_extra_copy(self, monkeypatch):
+        # beyond the inverse factor it keeps, building a plan may hold less
+        # than one more m x m matrix: G, its factor and the inverse are one
+        # array. The basis is evaluated beforehand, so that the complex
+        # temporary it is converted from cannot hide an m x m copy.
         s, lmax = healpix_sampling(8), 23
         m = (lmax + 1) ** 2
+        basis = evaluate_real_basis(s, lmax)
+        monkeypatch.setattr(harmonics, "evaluate_real_basis", lambda *args: basis)
         tracemalloc.start()
         try:
             plan = AnalysisPlan(s, lmax)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        held = plan.basis.nbytes + plan.gram.nbytes + plan._r_inv.nbytes
-        assert (peak - held) / (8 * m * m) < 0.9
+        assert plan.basis is basis
+        assert (peak - plan._r_inv.nbytes) / (8 * m * m) < 0.9
 
     def test_failed_factor_inversion_raises(self, monkeypatch):
         monkeypatch.setattr(sla.lapack, "dtrtri", lambda c, lower, overwrite_c: (c, 3))

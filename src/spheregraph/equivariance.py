@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidArgumentError, UndefinedNormalizationError
-from .graphs import GaussianGraphFamily, WeightScheme, build_graph, laplacian
+from .graphs import WEIGHT_KINDS, GaussianGraphFamily, WeightScheme, build_graph, laplacian
 from .harmonics import (
     AnalysisPlan,
     Rotation,
@@ -34,11 +34,12 @@ from .harmonics import (
     random_rotation,
     wigner_D_blocks,
 )
-from .samplings import Sampling, reliable_band
+from .samplings import SCHEMES, Sampling, reliable_band
 
-_SCHEME_IDS = {"healpix-ring": 0, "healpix-nested": 1, "equiangular": 2,
-               "icosahedral": 3, "random": 4, "custom": 5}
-_WEIGHT_IDS = {"inverse-distance": 0, "gaussian": 1}
+# every cell's seed substream hashes these positions, so the tuples' order is fixed
+_SCHEME_IDS = {name: i for i, name in enumerate(SCHEMES)}
+_WEIGHT_IDS = {name: i for i, name in enumerate(WEIGHT_KINDS)}
+_PROBE_PAIRS = 1 << 18  # probe-pixel pairs extended_laplacian_apply holds at a time
 
 
 @dataclass(frozen=True)
@@ -338,7 +339,8 @@ def extended_laplacian_apply(s: Sampling, t: float, f_pixels: np.ndarray,
     raw(y)    = (1/n) sum_i exp(-|x_i - y|^2 / (4 t)) (f(y) - f(x_i))
     scaled(y) = raw(y) / t^2   (converges to the Laplace-Beltrami value)
 
-    y may be one point (3,) or a stack (q, 3); f_y must match.
+    y may be one point (3,) or a stack (q, 3); f_y must match. Probes run in
+    blocks of _PROBE_PAIRS probe-pixel pairs, which leaves every value as is.
     """
     if not t > 0:
         raise InvalidArgumentError("kernel width t must be positive")
@@ -347,9 +349,13 @@ def extended_laplacian_apply(s: Sampling, t: float, f_pixels: np.ndarray,
     single = y.ndim == 1
     ys = y[None, :] if single else y
     fy = np.atleast_1d(np.asarray(f_y, dtype=np.float64))
-    d2 = ((ys[:, None, :] - s.points[None, :, :]) ** 2).sum(axis=2)
-    kern = np.exp(-d2 / (4.0 * t))
-    raw = (kern * (fy[:, None] - f_pixels[None, :])).mean(axis=1)
+    raw = np.empty(ys.shape[0])
+    step = max(1, _PROBE_PAIRS // s.n)
+    for rows in (slice(i, i + step) for i in range(0, ys.shape[0], step)):
+        d2 = ((ys[rows, None, :] - s.points[None, :, :]) ** 2).sum(axis=2)
+        kern = np.exp(-d2 / (4.0 * t))
+        raw[rows] = (kern * (fy[rows, None] - f_pixels[None, :])).mean(axis=1)
+        del d2, kern  # not held while the next block is formed
     out = raw / t**2 if scaled else raw
     return float(out[0]) if single else out
 

@@ -2,7 +2,11 @@
 
 Conventions: orthonormal complex harmonics with the Condon-Shortley phase,
 so integral(Y_lm * conj(Y_l'm')) = delta. Coefficient tables are flat complex
-arrays of length (lmax+1)^2 indexed by l*l + l + m. Rotations are active ZYZ
+arrays of length (lmax+1)^2 indexed by l*l + l + m. One cached row map,
+_row_map(lo, hi), decodes that layout for a table spanning degrees lo..hi:
+each row's degree l, its order m, and the row that holds order -m. The
+real/complex conversions, the conjugate-symmetry check, the Wigner turns and
+the coefficient CSV columns all read it. Rotations are active ZYZ
 Euler triples g = Rz(alpha) Ry(beta) Rz(gamma); the function-space operator is
 (R(g) f)(x) = f(g^{-1} x), realized on coefficients by Wigner-D blocks.
 
@@ -16,6 +20,7 @@ HarmonicCoeffs boundary: analysis, synthesis, rotate_coeffs and the CSV files.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -41,36 +46,45 @@ def degree_slice(l: int) -> slice:
     return slice(l * l, (l + 1) * (l + 1))
 
 
-def _mirror(l: int, ndim: int):
-    """Orders m = 1..l and (-1)^m shaped to broadcast along axis 0 of an ndim array."""
-    m = np.arange(1, l + 1)
-    return m, ((-1.0) ** m)[(slice(None),) + (None,) * (ndim - 1)]
+@functools.lru_cache(maxsize=256)
+def _row_map(lo: int, hi: int) -> tuple:
+    """Degree l, order m and the row of order -m for each row of a table spanning
+    degrees lo..hi (flat positions lo^2 on, counted from 0); cached, read-only."""
+    l = np.repeat(np.arange(lo, hi + 1), np.arange(2 * lo + 1, 2 * hi + 2, 2))
+    m = np.arange(lo * lo, (hi + 1) ** 2) - l * l - l
+    maps = (l, m, np.arange(m.size) - 2 * m)
+    for a in maps:
+        a.setflags(write=False)
+    return maps
 
 
-def _real_from_complex(a: np.ndarray, l: int) -> np.ndarray:
-    """U^H a along axis 0 of one degree-l block: the real-basis coefficients."""
-    m, sign = _mirror(l, a.ndim)
-    p, q = a[l + m], sign * a[l - m]
+def _order_pairs(lo: int, hi: int, ndim: int) -> tuple:
+    """Rows m = 0, rows m > 0, their -m rows, and (-1)^m broadcast along axis 0."""
+    _, m, mirror = _row_map(lo, hi)
+    pos = np.flatnonzero(m > 0)
+    return m == 0, pos, mirror[pos], ((-1.0) ** m[pos])[(slice(None),) + (None,) * (ndim - 1)]
+
+
+def _real_from_complex(a: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """U^H a along axis 0 of a table spanning degrees lo..hi: the real-basis coefficients."""
+    centre, pos, neg, sign = _order_pairs(lo, hi, a.ndim)
+    p, q = a[pos], sign * a[neg]
     r = np.empty(a.shape, dtype=np.complex128)
-    r[l] = a[l]
-    r[l + m] = (p + q) / _SQRT2
-    r[l - m] = 1j * (p - q) / _SQRT2
+    r[centre] = a[centre]
+    r[pos] = (p + q) / _SQRT2
+    r[neg] = 1j * (p - q) / _SQRT2
     return r
 
 
-def _complex_from_real(r: np.ndarray, l: int) -> np.ndarray:
-    """U r along axis 0 of one degree-l block: the complex coefficients."""
-    m, sign = _mirror(l, r.ndim)
-    p, q = r[l + m], r[l - m]
+def _complex_from_real(r: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """U r along axis 0 of a table spanning degrees lo..hi: the complex coefficients."""
+    centre, pos, neg, sign = _order_pairs(lo, hi, r.ndim)
+    p, q = r[pos], r[neg]
     a = np.empty(r.shape, dtype=np.complex128)
-    a[l] = r[l]
-    a[l + m] = (p - 1j * q) / _SQRT2
-    a[l - m] = sign * (p + 1j * q) / _SQRT2
+    a[centre] = r[centre]
+    a[pos] = (p - 1j * q) / _SQRT2
+    a[neg] = sign * (p + 1j * q) / _SQRT2
     return a
-
-
-def _by_degree(convert, values: np.ndarray, lmax: int) -> np.ndarray:
-    return np.concatenate([convert(values[degree_slice(l)], l) for l in range(lmax + 1)])
 
 
 @dataclass(frozen=True)
@@ -81,6 +95,8 @@ class HarmonicCoeffs:
     values: np.ndarray
 
     def __post_init__(self):
+        if self.lmax < 0:
+            raise InvalidArgumentError(f"lmax must be >= 0, got {self.lmax}")
         v = np.ascontiguousarray(self.values, dtype=np.complex128)
         if v.shape != ((self.lmax + 1) ** 2,):
             raise InvalidArgumentError(
@@ -91,25 +107,20 @@ class HarmonicCoeffs:
 
     @classmethod
     def from_real(cls, lmax: int, real_values: np.ndarray) -> "HarmonicCoeffs":
-        """The complex table a = U r of a real-basis table r."""
-        return cls(lmax, _by_degree(_complex_from_real, np.asarray(real_values), lmax))
+        """The complex table a = U r of a real-basis table r, checked as a complex table is."""
+        return cls(lmax, _complex_from_real(cls(lmax, real_values).values, 0, lmax))
 
     def real_values(self) -> np.ndarray:
         """The real-basis table r = U^H a (real up to rounding when conjugate-symmetric)."""
-        return _by_degree(_real_from_complex, self.values, self.lmax)
+        return _real_from_complex(self.values, 0, self.lmax)
 
     def degree(self, l: int) -> np.ndarray:
         return self.values[degree_slice(l)]
 
     def conjugate_symmetry_defect(self) -> float:
         """Max |a_{l,-m} - (-1)^m conj(a_lm)| over the table."""
-        worst = 0.0
-        for l in range(self.lmax + 1):
-            block = self.degree(l)
-            m = np.arange(-l, l + 1)
-            mirrored = ((-1.0) ** m) * np.conj(block[::-1])
-            worst = max(worst, float(np.abs(block - mirrored).max()))
-        return worst
+        _, m, mirror = _row_map(0, self.lmax)
+        return float(np.abs(self.values - ((-1.0) ** m) * np.conj(self.values[mirror])).max())
 
 
 @dataclass(frozen=True)
@@ -233,14 +244,9 @@ def evaluate_real_basis(s: Union[Sampling, np.ndarray], lmax: int) -> np.ndarray
 # Wigner rotation
 # ---------------------------------------------------------------------------
 
-_JY_EIG_CACHE: dict = {}
-
-
+@functools.cache
 def _jy_eigenbasis(l: int):
     """Eigendecomposition of the angular-momentum operator J_y at degree l."""
-    got = _JY_EIG_CACHE.get(l)
-    if got is not None:
-        return got
     dim = 2 * l + 1
     m = np.arange(-l, l)
     c = np.sqrt(l * (l + 1.0) - m * (m + 1.0))
@@ -249,7 +255,6 @@ def _jy_eigenbasis(l: int):
     jy[np.arange(dim - 1), np.arange(1, dim)] = 0.5j * c
     evals, evecs = np.linalg.eigh(jy)
     evals = np.round(evals)  # exactly -l..l in exact arithmetic
-    _JY_EIG_CACHE[l] = (evals, evecs)
     return evals, evecs
 
 
@@ -267,9 +272,7 @@ def wigner_D_matrix(l: int, g: Rotation) -> np.ndarray:
     return np.exp(-1j * g.alpha * m)[:, None] * d * np.exp(-1j * g.gamma * m)[None, :]
 
 
-_JY_REAL_CACHE: dict = {}
-
-
+@functools.cache
 def _jy_real_schur(l: int) -> np.ndarray:
     """Real orthogonal Q with d^l(beta) = Q T(beta) Q^T in the real basis.
 
@@ -278,33 +281,24 @@ def _jy_real_schur(l: int) -> np.ndarray:
     are sqrt(2) Re w and sqrt(2) Im w, where w = U^H v is the unit eigenvector
     v of J_y with eigenvalue k in the real basis; column 0 is the fixed axis.
     """
-    got = _JY_REAL_CACHE.get(l)
-    if got is None:
-        w = _real_from_complex(_jy_eigenbasis(l)[1], l)
-        axis = w[:, l]
-        j = int(np.argmax(np.abs(axis)))
-        axis = (axis * np.conj(axis[j]) / abs(axis[j])).real  # real up to its phase
-        turning = w[:, l + 1:]  # eigenvalues 1..l
-        got = np.column_stack([_SQRT2 * turning.imag[:, ::-1], axis, _SQRT2 * turning.real])
-        _JY_REAL_CACHE[l] = got
-    return got
-
-
-def _turn_columns(x: np.ndarray, theta: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """x T(theta) for each theta: column m becomes cos(m theta) x_m + sin(m theta) x_-m."""
-    angle = np.multiply.outer(theta, m)[:, None, :]
-    return x * np.cos(angle) + x[..., ::-1] * np.sin(angle)
+    w = _real_from_complex(_jy_eigenbasis(l)[1], l, l)
+    axis = w[:, l]
+    j = int(np.argmax(np.abs(axis)))
+    axis = (axis * np.conj(axis[j]) / abs(axis[j])).real  # real up to its phase
+    turning = w[:, l + 1:]  # eigenvalues 1..l
+    return np.column_stack([_SQRT2 * turning.imag[:, ::-1], axis, _SQRT2 * turning.real])
 
 
 class WignerBlocks:
     """Real Wigner blocks U^H D^l(g) U of a set of rotations, l = 0..lmax.
 
-    Each block factors as D = T(alpha) Q T(beta) Q^T T(gamma), with Q from
-    _jy_real_schur (Blanco, Florez & Bermejo 1997). blocks[l] forms and
-    caches the stack of degree l, shape (len(rotations), 2l+1, 2l+1).
-    apply(table) rotates through the factors the first time, forming no
-    block; a second call means the rotations are being reused (once per
-    kernel width in a search), so from then on it multiplies by the stacks.
+    _rotate applies each D as its factors T(alpha) Q T(beta) Q^T T(gamma),
+    with Q from _jy_real_schur (Blanco, Florez & Bermejo 1997). blocks[l]
+    forms and caches the stack of degree l, shape (len(rotations), 2l+1,
+    2l+1), as _rotate of the degree-l identity. apply(table) runs _rotate on
+    the whole table the first time, forming no block; a second call means the
+    rotations are being reused (once per kernel width in a search), so from
+    then on it multiplies by the stacks.
     """
 
     def __init__(self, lmax: int, rotations: Sequence[Rotation]):
@@ -319,13 +313,8 @@ class WignerBlocks:
             raise IndexError(f"degree {l} outside 0..{self.lmax}")
         got = self._stacks.get(l)
         if got is None:
-            q = _jy_real_schur(l)
-            m = np.arange(-l, l + 1)
-            pm = _turn_columns(q, self.beta, m)
-            d = (pm.reshape(-1, 2 * l + 1) @ q.T).reshape(pm.shape)
-            angle = np.multiply.outer(self.alpha, m)[:, :, None]
-            d = np.cos(angle) * d - np.sin(angle) * d[:, ::-1, :]
-            got = self._stacks[l] = _turn_columns(d, self.gamma, m)
+            columns = self._rotate(np.eye(2 * l + 1)[:, None, :], l, l)  # (2l+1, n_rot, 2l+1)
+            got = self._stacks[l] = np.ascontiguousarray(columns.transpose(1, 0, 2))
         return got
 
     def apply(self, table: np.ndarray) -> np.ndarray:
@@ -334,8 +323,7 @@ class WignerBlocks:
         x = table.reshape(table.shape[0], 1, -1)
         self._applied += 1
         if self._applied == 1:
-            x = self._by_q(self._turn(x, self.gamma), transpose=True)
-            out = self._turn(self._by_q(self._turn(x, self.beta)), self.alpha)
+            out = self._rotate(x, 0, self.lmax)
         else:
             out = np.empty(((self.lmax + 1) ** 2, self.alpha.size, x.shape[2]),
                            np.result_type(x, 1.0))
@@ -344,20 +332,28 @@ class WignerBlocks:
                 out[sl] = np.matmul(self[l], x[sl, 0]).transpose(1, 0, 2)
         return out.reshape((table.shape[0], self.alpha.size) + table.shape[1:])
 
-    def _turn(self, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """T(theta_r) on every degree of x, shape (positions, 1 or n_rot, columns)."""
-        m = np.concatenate([np.arange(-l, l + 1) for l in range(self.lmax + 1)])
+    def _rotate(self, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """D x for each rotation, on rows of x spanning degrees lo..hi; x has
+        shape (rows, 1 or n_rot, columns) and the result (rows, n_rot, columns)."""
+        x = self._by_q(self._turn(x, self.gamma, lo, hi), lo, hi, transpose=True)
+        return self._turn(self._by_q(self._turn(x, self.beta, lo, hi), lo, hi), self.alpha, lo, hi)
+
+    @staticmethod
+    def _turn(x: np.ndarray, theta: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """T(theta_r) on rows of degrees lo..hi: x_m -> cos(m theta) x_m - sin(m theta) x_-m."""
+        _, m, mirror = _row_map(lo, hi)
         angle = np.multiply.outer(m, theta)[:, :, None]
-        out = x[np.arange(m.size) - 2 * m] * -np.sin(angle)  # order -m sits 2m positions back
+        out = x[mirror] * -np.sin(angle)
         out += np.cos(angle) * x  # in place: one table-sized temporary fewer
         return out
 
-    def _by_q(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """Q (or Q^T) of each degree times that degree's rows of x: one GEMM per degree."""
+    @staticmethod
+    def _by_q(x: np.ndarray, lo: int, hi: int, transpose: bool = False) -> np.ndarray:
+        """Q (or Q^T) of each degree lo..hi times that degree's rows of x: one GEMM per degree."""
         out = np.empty_like(x)
-        for l in range(self.lmax + 1):
+        for l in range(lo, hi + 1):
             q = _jy_real_schur(l)
-            sl = degree_slice(l)
+            sl = slice(l * l - lo * lo, (l + 1) ** 2 - lo * lo)
             np.matmul(q.T if transpose else q, x[sl].reshape(2 * l + 1, -1),
                       out=out[sl].reshape(2 * l + 1, -1))
         return out
@@ -527,7 +523,7 @@ def draw_real_degree(l: int, rng: np.random.Generator) -> np.ndarray:
 
 def draw_degree_coeffs(l: int, rng: np.random.Generator) -> np.ndarray:
     """Random conjugate-symmetric degree-l block (standard-normal components)."""
-    return _complex_from_real(draw_real_degree(l, rng), l)
+    return _complex_from_real(draw_real_degree(l, rng), l, l)
 
 
 def random_degree_signal(s: Sampling, l: int, seed) -> np.ndarray:

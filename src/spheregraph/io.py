@@ -19,7 +19,7 @@ import scipy.sparse as sp
 
 from .errors import InvalidArgumentError
 from .filters import FilterCoeffs
-from .harmonics import HarmonicCoeffs
+from .harmonics import HarmonicCoeffs, _row_map
 from .samplings import Sampling
 
 _CHUNK_ROWS = 65536  # rows written, or lines parsed, at a time
@@ -163,10 +163,8 @@ def read_sparse_csv(path):
 
 def write_coeffs_csv(coeffs: HarmonicCoeffs, path,
                      comments: Optional[Sequence[str]] = None) -> None:
-    """`l,m,re,im` for every coefficient up to lmax."""
-    degrees = np.arange(coeffs.lmax + 1)
-    l = np.repeat(degrees, 2 * degrees + 1)
-    m = np.arange(l.size) - l * l - l  # rows in coeff_index order
+    """`l,m,re,im` for every coefficient up to lmax, in table order."""
+    l, m, _ = _row_map(0, coeffs.lmax)
     _write_table(path, comments, "l,m,re,im", "%d,%d,%.17g,%.17g",
                  [l, m, coeffs.values.real, coeffs.values.imag])
 
@@ -174,20 +172,19 @@ def write_coeffs_csv(coeffs: HarmonicCoeffs, path,
 def read_coeffs_csv(path) -> HarmonicCoeffs:
     """Inverse of write_coeffs_csv: one row per (l, m) with |m| <= l <= lmax, each once."""
     with open(path) as fh:
-        columns = _read_columns(path, fh, 1, "l,m,re,im", (int, int, float, float))
-    entries = {}
-    for l, m, re, im in zip(*(column.tolist() for column in columns)):
-        if abs(m) > l:
-            raise InvalidArgumentError(f"{path}: row (l={l}, m={m}) has |m| > l")
-        if (l, m) in entries:
-            raise InvalidArgumentError(f"{path}: duplicate row (l={l}, m={m})")
-        entries[(l, m)] = complex(re, im)
-    lmax = max((l for l, _ in entries), default=0)
-    if len(entries) != (lmax + 1) ** 2:
+        l, m, re, im = _read_columns(path, fh, 1, "l,m,re,im", (int, int, float, float))
+    lmax = int(l.max(initial=0))
+    if l.size != (lmax + 1) ** 2:
         raise InvalidArgumentError(
-            f"{path}: {len(entries)} rows, but lmax={lmax} needs all {(lmax + 1) ** 2} (l, m) rows"
-        )
-    return HarmonicCoeffs(lmax, [entries[lm] for lm in sorted(entries)])  # coeff_index order
+            f"{path}: {l.size} rows, but lmax={lmax} needs all {(lmax + 1) ** 2} (l, m) rows")
+    table_l, table_m, _ = _row_map(0, lmax)
+    order = np.lexsort((m, l))  # the table lists (l, m) in ascending order
+    if not (np.array_equal(l[order], table_l) and np.array_equal(m[order], table_m)):
+        raise InvalidArgumentError(
+            f"{path}: needs each (l, m) with |m| <= l <= {lmax} exactly once")
+    values = np.empty(order.size, np.complex128)
+    values.real, values.imag = re[order], im[order]
+    return HarmonicCoeffs(lmax, values)
 
 
 def write_spectrum_csv(spectrum: np.ndarray, path,

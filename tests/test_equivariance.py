@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,6 +7,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spheregraph import equivariance
 from spheregraph.equivariance import (
     EquivarianceConfig,
     SweepEngine,
@@ -107,6 +110,13 @@ class TestEquivarianceError:
 
 
 class TestMeanEquivarianceError:
+    def test_seed_ids_pinned(self):
+        # every cell's seed substream hashes these ids: changing one redraws its cells
+        assert equivariance._SCHEME_IDS == {"healpix-ring": 0, "healpix-nested": 1,
+                                            "equiangular": 2, "icosahedral": 3,
+                                            "random": 4, "custom": 5}
+        assert equivariance._WEIGHT_IDS == {"inverse-distance": 0, "gaussian": 1}
+
     def test_degree_zero_rejected(self, hp4_setup):
         s, _ = hp4_setup
         cfg = EquivarianceConfig(2, 2, 0, 8)
@@ -391,6 +401,24 @@ class TestExtendedLaplacian:
             got = extended_laplacian_apply(s, t, f, probes, fy)
             errs.append(np.linalg.norm(got - 2 * fy) / np.linalg.norm(2 * fy))
         assert errs[1] < errs[0] < 0.2
+
+    def test_probe_blocks_match_single_probes_and_bound_memory(self):
+        # 400 probes at n = 3072 span several probe blocks; held at once, their
+        # kernel temporaries would take about 4 * 400 * 3072 doubles (39 MB)
+        s = healpix_sampling(16)
+        rng = np.random.default_rng(5)
+        probes = random_uniform_sampling(400, 7).points
+        f, fy = rng.standard_normal(s.n), rng.standard_normal(400)
+        assert 400 * s.n > 4 * equivariance._PROBE_PAIRS
+        tracemalloc.start()
+        try:
+            got = extended_laplacian_apply(s, 0.05, f, probes, fy)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 8 * equivariance._PROBE_PAIRS
+        one_at_a_time = [extended_laplacian_apply(s, 0.05, f, y, v) for y, v in zip(probes, fy)]
+        np.testing.assert_array_equal(got, one_at_a_time)
 
     def test_invalid_width(self):
         s = healpix_sampling(2)

@@ -75,6 +75,92 @@ def unitary(l: int) -> np.ndarray:
     return np.column_stack(columns)
 
 
+# Per-degree copies of the converters that the row map replaced: the oracle
+# that the whole-table versions must match bit for bit.
+def per_degree_real_from_complex(a, l):
+    m = np.arange(1, l + 1)
+    sign = ((-1.0) ** m)[(slice(None),) + (None,) * (a.ndim - 1)]
+    p, q = a[l + m], sign * a[l - m]
+    r = np.empty(a.shape, dtype=np.complex128)
+    r[l] = a[l]
+    r[l + m] = (p + q) / np.sqrt(2.0)
+    r[l - m] = 1j * (p - q) / np.sqrt(2.0)
+    return r
+
+
+def per_degree_complex_from_real(r, l):
+    m = np.arange(1, l + 1)
+    sign = (-1.0) ** m
+    p, q = r[l + m], r[l - m]
+    a = np.empty(r.shape, dtype=np.complex128)
+    a[l] = r[l]
+    a[l + m] = (p - 1j * q) / np.sqrt(2.0)
+    a[l - m] = sign * (p + 1j * q) / np.sqrt(2.0)
+    return a
+
+
+def by_degree(convert, values, lmax):
+    return np.concatenate([convert(values[degree_slice(l)], l) for l in range(lmax + 1)])
+
+
+def per_degree_defect(values, lmax):
+    worst = 0.0
+    for l in range(lmax + 1):
+        block = values[degree_slice(l)]
+        m = np.arange(-l, l + 1)
+        worst = max(worst, float(np.abs(block - ((-1.0) ** m) * np.conj(block[::-1])).max()))
+    return worst
+
+
+def per_degree_jy_real_schur(l):
+    w = per_degree_real_from_complex(harmonics._jy_eigenbasis(l)[1], l)
+    axis = w[:, l]
+    j = int(np.argmax(np.abs(axis)))
+    axis = (axis * np.conj(axis[j]) / abs(axis[j])).real
+    turning = w[:, l + 1:]
+    return np.column_stack([np.sqrt(2.0) * turning.imag[:, ::-1], axis,
+                            np.sqrt(2.0) * turning.real])
+
+
+class TestRowMap:
+    @pytest.mark.parametrize("lo, hi", [(0, 0), (0, 1), (0, 12), (1, 1), (7, 7), (3, 9)])
+    def test_inverts_coeff_index(self, lo, hi):
+        l, m, mirror = harmonics._row_map(lo, hi)
+        rows = np.arange((hi + 1) ** 2 - lo * lo)
+        np.testing.assert_array_equal(coeff_index(l, m) - lo * lo, rows)
+        np.testing.assert_array_equal(coeff_index(l, -m) - lo * lo, mirror)
+        assert np.all(np.abs(m) <= l) and l[0] == lo and l[-1] == hi
+        assert not any(a.flags.writeable for a in (l, m, mirror))  # shared through the cache
+
+    def test_converters_match_per_degree_oracle(self):
+        rng = np.random.default_rng(11)
+        for lmax in range(48):
+            size = (lmax + 1) ** 2
+            table = HarmonicCoeffs(lmax, rng.standard_normal(size) + 1j * rng.standard_normal(size))
+            real = rng.standard_normal(size)
+            np.testing.assert_array_equal(
+                table.real_values(), by_degree(per_degree_real_from_complex, table.values, lmax))
+            np.testing.assert_array_equal(
+                HarmonicCoeffs.from_real(lmax, real).values,
+                by_degree(per_degree_complex_from_real, real, lmax))
+            symmetric = random_coeffs(lmax, lmax)
+            for coeffs in (table, symmetric):
+                assert coeffs.conjugate_symmetry_defect() == per_degree_defect(coeffs.values, lmax)
+
+    def test_jy_real_schur_matches_per_degree_oracle(self):
+        for l in range(48):
+            np.testing.assert_array_equal(harmonics._jy_real_schur(l), per_degree_jy_real_schur(l))
+
+    def test_negative_lmax_or_wrong_length_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="lmax must be >= 0"):
+            HarmonicCoeffs(-1, [])
+        with pytest.raises(InvalidArgumentError, match="lmax must be >= 0"):
+            HarmonicCoeffs.from_real(-1, np.zeros(0))
+        for size in (3, 5):  # lmax 1 needs 4 values
+            with pytest.raises(InvalidArgumentError, match="must have length 4"):
+                HarmonicCoeffs.from_real(1, np.zeros(size))
+
+
 class TestBasis:
     def test_y00_constant(self, random200):
         B = evaluate_basis(random200, 0)
@@ -312,15 +398,21 @@ class TestRotations:
                                            atol=1e-12)
 
     def test_factored_apply_matches_formed_blocks(self):
+        # both routes against U^H D U from the complex Wigner-D, which is built
+        # without the factored kernel; the gimbal rotations cover beta = 0 and pi
         lmax = 47
-        blocks = wigner_D_blocks(lmax, random_and_gimbal_rotations())
+        rotations = random_and_gimbal_rotations()
+        blocks = wigner_D_blocks(lmax, rotations)
         table = np.random.default_rng(6).standard_normal(((lmax + 1) ** 2, 3))
         factored = blocks.apply(table)  # first use: through the factors
         assert not blocks._stacks  # no block was formed
         formed = blocks.apply(table)  # reuse: through the formed stacks
         for l in range(lmax + 1):
             sl = degree_slice(l)
-            expected = np.matmul(blocks[l], table[sl]).transpose(1, 0, 2)
+            U = unitary(l)
+            real_blocks = np.stack([(U.conj().T @ wigner_D_matrix(l, g) @ U).real
+                                    for g in rotations])
+            expected = np.matmul(real_blocks, table[sl]).transpose(1, 0, 2)
             np.testing.assert_allclose(factored[sl], expected, rtol=0, atol=1e-12)
             np.testing.assert_allclose(formed[sl], expected, rtol=0, atol=1e-12)
 

@@ -76,6 +76,8 @@ class TestReadCoeffsCsv:
         pytest.param(COEFF_ROWS + ["1,0,3,0"], id="duplicate"),
         pytest.param(COEFF_ROWS + ["1,2,0,0"], id="m-above-l"),
         pytest.param(COEFF_ROWS + ["1,-2,0,0"], id="m-below-minus-l"),
+        pytest.param(COEFF_ROWS[:3] + ["100000,0,0,0"], id="l-far-above-row-count"),
+        pytest.param(COEFF_ROWS[:3] + ["-1,0,0,0"], id="negative-l"),
     ])
     def test_malformed_rejected(self, tmp_path, rows):
         path = write(tmp_path / "c.csv", "l,m,re,im\n" + "\n".join(rows) + "\n")

@@ -30,7 +30,7 @@ from .harmonics import (
     Rotation,
     degree_slice,
     draw_real_degree,
-    evaluate_real_basis,
+    evaluate_basis,
     random_rotation,
     wigner_D_blocks,
 )
@@ -373,15 +373,15 @@ def extended_equivariance_check(s: Sampling, t: float, l: int, g: Rotation,
     block = draw_real_degree(l, rng)
 
     sl = degree_slice(l)
-    basis_pix = evaluate_real_basis(s, l)[:, sl]
+    basis_pix = evaluate_basis(s, l)[:, sl]
     f_pix = basis_pix @ block
 
     rot_block = wigner_D_blocks(l, [g])[l][0] @ block
     f_rot_pix = basis_pix @ rot_block
 
     ginv_probes = probes @ g.matrix  # rows g^{-1} y
-    f_probes_ginv = evaluate_real_basis(ginv_probes, l)[:, sl] @ block
-    f_rot_probes = evaluate_real_basis(probes, l)[:, sl] @ rot_block
+    f_probes_ginv = evaluate_basis(ginv_probes, l)[:, sl] @ block
+    f_rot_probes = evaluate_basis(probes, l)[:, sl] @ rot_block
 
     lhs = extended_laplacian_apply(s, t, f_pix, ginv_probes, f_probes_ginv)
     rhs = extended_laplacian_apply(s, t, f_rot_pix, probes, f_rot_probes)

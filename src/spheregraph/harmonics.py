@@ -12,10 +12,12 @@ Euler triples g = Rz(alpha) Ry(beta) Rz(gamma); the function-space operator is
 
 Inside the package (AnalysisPlan, RotationOperator, the equivariance engine)
 the work is done in the real orthonormal basis R = Y U: R_l0 = Y_l0,
-R_lm = sqrt(2) Re Y_lm and R_l,-m = sqrt(2) Im Y_lm for m > 0. U is one fixed
-unitary per degree, so real tables are r = U^H a and real Wigner blocks are
-U^H D U (Blanco, Florez & Bermejo 1997). Complex tables appear only at the
-HarmonicCoeffs boundary: analysis, synthesis, rotate_coeffs and the CSV files.
+R_lm = sqrt(2) Re Y_lm and R_l,-m = sqrt(2) Im Y_lm for m > 0. evaluate_basis
+evaluates R directly from one Legendre recurrence; the complex Y_lm are never
+sampled. U is one fixed unitary per degree, so real tables are r = U^H a and
+real Wigner blocks are U^H D U (Blanco, Florez & Bermejo 1997). Complex tables
+appear only at the HarmonicCoeffs boundary: analysis, synthesis, rotate_coeffs
+and the CSV files.
 """
 
 from __future__ import annotations
@@ -180,11 +182,14 @@ class Rotation:
 # ---------------------------------------------------------------------------
 
 def evaluate_basis(s: Union[Sampling, np.ndarray], lmax: int) -> np.ndarray:
-    """Matrix B with B[i, l*l+l+m] = Y_lm(x_i), for a Sampling or raw (n,3) points.
+    """Real orthonormal basis R = Y U at a Sampling or raw (n,3) points, float64 of
+    shape (n, (lmax+1)^2): R_l0 = p_l0, R_lm = sqrt(2) p_lm cos(m phi) and
+    R_l,-m = sqrt(2) p_lm sin(m phi) for m > 0, at the flat positions of Y_lm.
 
-    Fully normalized associated Legendre values come from the standard
-    ascending three-term recurrence, which is stable far beyond the desk-scale
-    band limits used here.
+    The fully normalized associated Legendre values p_lm (Condon-Shortley phase
+    included) come from the standard ascending three-term recurrence, which is
+    stable far beyond the desk-scale band limits used here. A running e^{i m phi}
+    vector supplies cos and sin; no complex matrix is formed.
     """
     if lmax < 0:
         raise InvalidArgumentError("lmax must be >= 0")
@@ -196,16 +201,14 @@ def evaluate_basis(s: Union[Sampling, np.ndarray], lmax: int) -> np.ndarray:
     sin_theta = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     phi = np.arctan2(pts[:, 1], pts[:, 0])
 
-    B = np.empty((n, (lmax + 1) ** 2), dtype=np.complex128)
+    out = np.empty((n, (lmax + 1) ** 2))
     e_iphi = np.exp(1j * phi)
-    phase = {0: np.ones(n, dtype=np.complex128)}
-    for m in range(1, lmax + 1):
-        phase[m] = phase[m - 1] * e_iphi
-
+    phase = np.ones(n, dtype=np.complex128)  # e^{i m phi}
     p_mm = np.full(n, 1.0 / np.sqrt(4.0 * np.pi))  # normalized P_{m,m}
     for m in range(0, lmax + 1):
         if m > 0:
             p_mm = -np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * sin_theta * p_mm
+            phase = phase * e_iphi
         p_lm_minus1 = np.zeros(n)
         p_lm = p_mm
         for l in range(m, lmax + 1):
@@ -213,30 +216,14 @@ def evaluate_basis(s: Union[Sampling, np.ndarray], lmax: int) -> np.ndarray:
                 a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
                 b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
                 p_lm, p_lm_minus1 = a * (z * p_lm - b * p_lm_minus1), p_lm
-            col = p_lm * phase[m]
-            B[:, coeff_index(l, m)] = col
-            if m > 0:
-                B[:, coeff_index(l, -m)] = ((-1.0) ** m) * np.conj(col)
-    if not np.all(np.isfinite(B)):
+            if m == 0:
+                out[:, coeff_index(l, 0)] = p_lm
+            else:
+                np.multiply(p_lm * phase.real, _SQRT2, out=out[:, coeff_index(l, m)])
+                np.multiply(p_lm * phase.imag, _SQRT2, out=out[:, coeff_index(l, -m)])
+    if not np.all(np.isfinite(out)):
         raise NumericalFailureError("basis evaluation produced non-finite values",
                                     {"lmax": lmax})
-    return B
-
-
-def evaluate_real_basis(s: Union[Sampling, np.ndarray], lmax: int) -> np.ndarray:
-    """Real orthonormal basis R = Y U: R_l0 = Y_l0, R_lm = sqrt(2) Re Y_lm and
-    R_l,-m = sqrt(2) Im Y_lm for m > 0, at the same flat positions as Y.
-
-    The complex matrix from evaluate_basis is dropped once it is converted.
-    """
-    complex_basis = evaluate_basis(s, lmax)
-    out = np.empty(complex_basis.shape)
-    for l in range(lmax + 1):
-        centre = coeff_index(l, 0)
-        out[:, centre] = complex_basis[:, centre].real
-        pos = complex_basis[:, centre + 1:centre + l + 1]
-        np.multiply(pos.real, _SQRT2, out=out[:, centre + 1:centre + l + 1])
-        np.multiply(pos.imag[:, ::-1], _SQRT2, out=out[:, centre - l:centre])
     return out
 
 
@@ -381,7 +368,7 @@ def _physical_memory_bytes() -> int:
 class AnalysisPlan:
     """Factorized least-squares analysis for one (sampling, lmax) pair.
 
-    Holds the real basis matrix B (evaluate_real_basis) and the inverse R^-1
+    Holds the real basis matrix B (evaluate_basis) and the inverse R^-1
     of the upper Cholesky factor of G + ridge*I = R^T R, where G = B^T B and
     the ridge is 1e-12 relative to the mean Gram diagonal. G is formed,
     factored and inverted in one m x m array and is not kept. The condition
@@ -397,9 +384,9 @@ class AnalysisPlan:
             raise InvalidArgumentError(
                 f"analysis needs (lmax+1)^2 <= n: {ncoef} > {s.n}"
             )
-        # doubles: the real basis (n*m), the complex basis it is converted
-        # from (2*n*m), and one m*m array that holds G, then R, then R^-1
-        need = 8 * (3 * s.n * ncoef + ncoef * ncoef)
+        # doubles: the real basis (n*m) and one m*m array that holds G, then
+        # R, then R^-1
+        need = 8 * (s.n * ncoef + ncoef * ncoef)
         memory = _physical_memory_bytes()
         if need > memory:
             raise InvalidArgumentError(
@@ -408,7 +395,7 @@ class AnalysisPlan:
             )
         self.sampling = s
         self.lmax = lmax
-        self.basis = evaluate_real_basis(s, lmax)
+        self.basis = evaluate_basis(s, lmax)
         # the upper triangle of G; B^T is B in Fortran order, so BLAS reads it
         # in place, and the strict lower triangle stays zero from here to R^-1
         gram = sla.blas.dsyrk(1.0, self.basis.T, lower=0)
@@ -461,7 +448,7 @@ def synthesis(s: Sampling, coeffs: HarmonicCoeffs,
         raise InvalidArgumentError(
             "coefficients are not conjugate-symmetric; synthesis would be complex"
         )
-    basis = plan.basis if plan is not None else evaluate_real_basis(s, coeffs.lmax)
+    basis = plan.basis if plan is not None else evaluate_basis(s, coeffs.lmax)
     return basis @ coeffs.real_values().real
 
 
@@ -537,7 +524,7 @@ def random_degree_signal(s: Sampling, l: int, seed) -> np.ndarray:
             f"degree {l} outside the reliable band [0, {reliable_band(s)}] of {s.scheme}"
         )
     block = draw_real_degree(l, _as_rng(seed))
-    return evaluate_real_basis(s, l)[:, degree_slice(l)] @ block
+    return evaluate_basis(s, l)[:, degree_slice(l)] @ block
 
 
 # ---------------------------------------------------------------------------

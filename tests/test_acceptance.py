@@ -36,8 +36,9 @@ from spheregraph.harmonics import (
     AnalysisPlan,
     HarmonicCoeffs,
     analysis,
-    degree_slice,
+    coeff_index,
     draw_degree_coeffs,
+    draw_real_degree,
     evaluate_basis,
     random_rotation,
     synthesis,
@@ -172,8 +173,8 @@ def test_criterion_04_inverse_distance_selectivity():
     for j in (1, 5, 16):  # grid steps of the 32-fold longitudinal symmetry
         perm = rotation_permutation(s, z_rotation_matrix(np.pi * j / 16.0))
         for _ in range(5):
-            vals = np.concatenate([draw_degree_coeffs(l, rng) for l in range(11)])
-            f = (basis @ vals).real
+            vals = np.concatenate([draw_real_degree(l, rng) for l in range(11)])
+            f = basis @ vals
             floor = max(floor, equivariance_error(lap, lambda v: v[perm], f))
 
     cfg = EquivarianceConfig(seed=SEED, lmax_analysis=15, **CFG_DRAWS)
@@ -199,8 +200,8 @@ def test_criterion_05_automorphism_exactness():
                   WeightScheme("gaussian", heuristic_kernel_width(s, 8))):
             lap = laplacian(build_graph(s, 8, w))
             for _ in range(20):
-                vals = np.concatenate([draw_degree_coeffs(l, rng) for l in range(band + 1)])
-                f = (basis @ vals).real
+                vals = np.concatenate([draw_real_degree(l, rng) for l in range(band + 1)])
+                f = basis @ vals
                 worst = max(worst, equivariance_error(lap, lambda v: v[perm], f))
     ok = worst < 1e-10
     _report(5, "quarter-turn automorphism commutes exactly", ok,
@@ -212,18 +213,14 @@ def test_criterion_06_laplace_beltrami_convergence():
     details = []
     ok = True
     for l, m in ((1, 0), (2, 1)):
-        block = np.zeros(2 * l + 1, dtype=complex)
-        if m == 0:
-            block[l] = 1.0
-        else:  # real combination of Y_{l,m} and its mirror, still an eigenfunction
-            block[l + m] = 1.0 / np.sqrt(2.0)
-            block[l - m] = (-1.0) ** m / np.sqrt(2.0)
+        # R_lm = (Y_lm + (-1)^m Y_l,-m) / sqrt(2), a real eigenfunction of degree l
+        col = coeff_index(l, m)
         errs = []
         for nside in (8, 16, 32):
             s = healpix_sampling(nside)
             t = s.n ** -0.25
-            f_pix = (evaluate_basis(s, l)[:, degree_slice(l)] @ block).real
-            f_y = (evaluate_basis(probes, l)[:, degree_slice(l)] @ block).real
+            f_pix = evaluate_basis(s, l)[:, col]
+            f_y = evaluate_basis(probes, l)[:, col]
             vals = extended_laplacian_apply(s, t, f_pix, probes, f_y)
             target = l * (l + 1) * f_y
             errs.append(float(np.linalg.norm(vals - target) / np.linalg.norm(target)))

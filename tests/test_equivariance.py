@@ -31,7 +31,6 @@ from spheregraph.harmonics import (
     Rotation,
     RotationOperator,
     degree_slice,
-    evaluate_basis,
     random_degree_signal,
     random_rotation,
 )
@@ -394,8 +393,6 @@ class TestExtendedLaplacian:
         for nside in (8, 16):
             s = healpix_sampling(nside)
             t = s.n**-0.25
-            basis_pix = evaluate_basis(s, 1)
-            basis_probe = evaluate_basis(probes, 1)
             f = np.sqrt(3 / (4 * np.pi)) * s.points[:, 2]
             fy = np.sqrt(3 / (4 * np.pi)) * probes[:, 2]
             got = extended_laplacian_apply(s, t, f, probes, fy)

@@ -19,10 +19,10 @@ from spheregraph.harmonics import (
     coeff_index,
     degree_slice,
     draw_degree_coeffs,
+    draw_real_degree,
     _physical_memory_bytes,
     equiangular_quadrature_weights,
     evaluate_basis,
-    evaluate_real_basis,
     power_spectrum,
     quadrature_energy,
     random_degree_signal,
@@ -174,38 +174,53 @@ class TestBasis:
         )
 
     def test_against_scipy(self, random200):
-        B = evaluate_basis(random200, 6)
+        # scipy's complex Y is the oracle: R_l0 = Y_l0, and for m > 0
+        # R_lm = sqrt(2) Re Y_lm and R_l,-m = sqrt(2) Im Y_lm; that is R = Y U,
+        # with U the unitary that HarmonicCoeffs converts through
+        R = evaluate_basis(random200, 10)
+        assert R.dtype == np.float64
         theta = np.arccos(np.clip(random200.points[:, 2], -1, 1))
         phi = np.arctan2(random200.points[:, 1], random200.points[:, 0])
-        for l, m in ((2, 1), (3, -2), (4, 4), (6, 0), (5, -5)):
-            ref = sph_harm_y(l, m, theta, phi)
-            np.testing.assert_allclose(B[:, coeff_index(l, m)], ref, atol=1e-13)
-
-    def test_real_basis_is_complex_basis_times_unitary(self, random200):
-        B = evaluate_basis(random200, 6)
-        R = evaluate_real_basis(random200, 6)
-        assert R.dtype == np.float64
-        for l in range(7):
+        for l in range(11):
+            Y = np.column_stack([sph_harm_y(l, m, theta, phi) for m in range(-l, l + 1)])
+            m = np.arange(1, l + 1)
+            np.testing.assert_allclose(R[:, coeff_index(l, 0)], Y[:, l].real, atol=1e-13)
+            np.testing.assert_allclose(R[:, coeff_index(l, m)], np.sqrt(2.0) * Y[:, l + m].real,
+                                       atol=1e-13)
+            np.testing.assert_allclose(R[:, coeff_index(l, -m)], np.sqrt(2.0) * Y[:, l + m].imag,
+                                       atol=1e-13)
             U = unitary(l)
             np.testing.assert_allclose(U.conj().T @ U, np.eye(2 * l + 1), atol=1e-15)
-            np.testing.assert_allclose(B[:, degree_slice(l)] @ U, R[:, degree_slice(l)],
-                                       atol=1e-13)
+            np.testing.assert_allclose(Y @ U, R[:, degree_slice(l)], atol=1e-13)
+
+    def test_peak_memory_is_the_result(self):
+        # the recurrence writes straight into its output: no complex matrix
+        # or second n x m array is held on the way
+        s, lmax = healpix_sampling(16), 47
+        tracemalloc.start()
+        try:
+            R = evaluate_basis(s, lmax)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert R.nbytes == 8 * s.n * (lmax + 1) ** 2
+        assert peak <= 1.2 * R.nbytes
 
     def test_monte_carlo_gram_near_identity(self):
-        # (4 pi / n) B^H B approximates the continuous orthonormality relation.
+        # (4 pi / n) B^T B approximates the continuous orthonormality relation.
         # The spectral defect of an empirical covariance of m-dimensional unit-
         # trace draws concentrates at ~ 2 sqrt(m/n) + m/n (~1.2 at n=500, m=121);
         # measured values over seeds are 1.3-1.7.
         s = random_uniform_sampling(500, 21)
         B = evaluate_basis(s, 10)
-        gram = (4 * np.pi / s.n) * (B.conj().T @ B)
+        gram = (4 * np.pi / s.n) * (B.T @ B)
         defect = np.linalg.norm(gram - np.eye(121), 2)
         assert defect < 2.0
 
     def test_monte_carlo_gram_tightens_with_n(self):
         s = random_uniform_sampling(25_000, 21)
         B = evaluate_basis(s, 10)
-        gram = (4 * np.pi / s.n) * (B.conj().T @ B)
+        gram = (4 * np.pi / s.n) * (B.T @ B)
         assert np.linalg.norm(gram - np.eye(121), 2) < 0.25
 
 
@@ -223,12 +238,12 @@ class TestAnalysisSynthesis:
 
     def test_single_harmonic_dense_lstsq_oracle(self):
         s = equiangular_sampling(8)
-        B = evaluate_basis(s, 6)
-        f = B[:, coeff_index(5, 3)].real
+        R = evaluate_basis(s, 6)
+        f = R[:, coeff_index(5, 3)] / np.sqrt(2.0)  # Re Y_53
         c = analysis(s, f, 6)
         # independent dense least-squares route
-        oracle, *_ = np.linalg.lstsq(B, f.astype(complex), rcond=None)
-        np.testing.assert_allclose(c.values, oracle, atol=1e-9)
+        oracle, *_ = np.linalg.lstsq(R, f, rcond=None)
+        np.testing.assert_allclose(c.real_values(), oracle, atol=1e-9)
         # real part of Y_53 analyses to (a_{5,3}, a_{5,-3}) = (1/2, -1/2)
         assert abs(c.values[coeff_index(5, 3)] - 0.5) < 1e-8
         assert abs(c.values[coeff_index(5, -3)] + 0.5) < 1e-8
@@ -236,7 +251,8 @@ class TestAnalysisSynthesis:
         others[coeff_index(5, 3)] = others[coeff_index(5, -3)] = 0.0
         assert others.max() < 1e-8
         # the complex Y_53 samples themselves give a single unit coefficient
-        cc = analysis(s, B[:, coeff_index(5, 3)], 6)
+        y53 = (R[:, coeff_index(5, 3)] + 1j * R[:, coeff_index(5, -3)]) / np.sqrt(2.0)
+        cc = analysis(s, y53, 6)
         assert abs(cc.values[coeff_index(5, 3)] - 1.0) < 1e-8
         rest = np.abs(cc.values).copy()
         rest[coeff_index(5, 3)] = 0.0
@@ -274,22 +290,22 @@ class TestAnalysisSynthesis:
 
     def test_dense_plan_memory_cliff_rejected(self):
         s = equiangular_sampling(256)  # n = 262144; the real basis alone is ~137 GB
-        if _physical_memory_bytes() > 2**39:
+        need = 8 * (2**34 + 2**32)  # the basis (n m doubles) and one m x m array, m = 2^16
+        if _physical_memory_bytes() >= need:
             pytest.skip("the plan fits in this machine's memory")
         start = time.perf_counter()
-        with pytest.raises(InvalidArgumentError, match="needs about 416.0 GiB"):
+        with pytest.raises(InvalidArgumentError, match="needs about 160.0 GiB"):
             AnalysisPlan(s, 255)
         assert time.perf_counter() - start < 0.5
 
     def test_gram_factored_without_extra_copy(self, monkeypatch):
         # beyond the inverse factor it keeps, building a plan may hold less
         # than one more m x m matrix: G, its factor and the inverse are one
-        # array. The basis is evaluated beforehand, so that the complex
-        # temporary it is converted from cannot hide an m x m copy.
+        # array.
         s, lmax = healpix_sampling(8), 23
         m = (lmax + 1) ** 2
-        basis = evaluate_real_basis(s, lmax)
-        monkeypatch.setattr(harmonics, "evaluate_real_basis", lambda *args: basis)
+        basis = evaluate_basis(s, lmax)
+        monkeypatch.setattr(harmonics, "evaluate_basis", lambda *args: basis)
         tracemalloc.start()
         try:
             plan = AnalysisPlan(s, lmax)
@@ -358,12 +374,12 @@ class TestRotations:
     def test_pointwise_rotation_oracle(self):
         # synthesis of rotated coefficients equals evaluation at inversely rotated points
         g = random_rotation(17)
-        values = np.zeros(25, dtype=complex)
-        values[degree_slice(4)] = draw_degree_coeffs(4, np.random.default_rng(8))
-        c = HarmonicCoeffs(4, values)
+        real = np.zeros(25)
+        real[degree_slice(4)] = draw_real_degree(4, np.random.default_rng(8))
+        c = HarmonicCoeffs.from_real(4, real)
         probe = random_uniform_sampling(40, 6)
-        lhs = (evaluate_basis(probe, 4) @ rotate_coeffs(c, g).values).real
-        rhs = (evaluate_basis(probe.points @ g.matrix, 4) @ c.values).real
+        lhs = evaluate_basis(probe, 4) @ rotate_coeffs(c, g).real_values().real
+        rhs = evaluate_basis(probe.points @ g.matrix, 4) @ real
         np.testing.assert_allclose(lhs, rhs, atol=1e-8)
 
     def test_unitarity(self):

@@ -161,6 +161,13 @@ class TestRowMap:
                 HarmonicCoeffs.from_real(1, np.zeros(size))
 
 
+def _scipy_degree(s, l):
+    """scipy's complex Y_lm at the sampling's points, columns m = -l..l."""
+    theta = np.arccos(np.clip(s.points[:, 2], -1, 1))
+    phi = np.arctan2(s.points[:, 1], s.points[:, 0])
+    return np.column_stack([sph_harm_y(l, m, theta, phi) for m in range(-l, l + 1)])
+
+
 class TestBasis:
     def test_y00_constant(self, random200):
         B = evaluate_basis(random200, 0)
@@ -175,23 +182,27 @@ class TestBasis:
 
     def test_against_scipy(self, random200):
         # scipy's complex Y is the oracle: R_l0 = Y_l0, and for m > 0
-        # R_lm = sqrt(2) Re Y_lm and R_l,-m = sqrt(2) Im Y_lm; that is R = Y U,
-        # with U the unitary that HarmonicCoeffs converts through
+        # R_lm = sqrt(2) Re Y_lm and R_l,-m = sqrt(2) Im Y_lm
         R = evaluate_basis(random200, 10)
         assert R.dtype == np.float64
-        theta = np.arccos(np.clip(random200.points[:, 2], -1, 1))
-        phi = np.arctan2(random200.points[:, 1], random200.points[:, 0])
         for l in range(11):
-            Y = np.column_stack([sph_harm_y(l, m, theta, phi) for m in range(-l, l + 1)])
+            Y = _scipy_degree(random200, l)
             m = np.arange(1, l + 1)
             np.testing.assert_allclose(R[:, coeff_index(l, 0)], Y[:, l].real, atol=1e-13)
             np.testing.assert_allclose(R[:, coeff_index(l, m)], np.sqrt(2.0) * Y[:, l + m].real,
                                        atol=1e-13)
             np.testing.assert_allclose(R[:, coeff_index(l, -m)], np.sqrt(2.0) * Y[:, l + m].imag,
                                        atol=1e-13)
+
+    def test_real_basis_is_complex_basis_times_unitary(self, random200):
+        # R = Y U, with U the unitary that HarmonicCoeffs converts through
+        R = evaluate_basis(random200, 6)
+        assert R.dtype == np.float64
+        for l in range(7):
             U = unitary(l)
             np.testing.assert_allclose(U.conj().T @ U, np.eye(2 * l + 1), atol=1e-15)
-            np.testing.assert_allclose(Y @ U, R[:, degree_slice(l)], atol=1e-13)
+            np.testing.assert_allclose(_scipy_degree(random200, l) @ U, R[:, degree_slice(l)],
+                                       atol=1e-13)
 
     def test_peak_memory_is_the_result(self):
         # the recurrence writes straight into its output: no complex matrix

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -331,6 +332,146 @@ class TestOptimizeKernelWidth:
         with pytest.warns(UserWarning, match="bracket edge"):
             t = optimize_kernel_width(s, 8, [1, 2, 3], EquivarianceConfig(seed=42), family=family)
         assert abs(np.log(t / (100.0 * family.heuristic_width()))) <= 1e-3
+
+    @pytest.mark.parametrize("make, k, degrees, seed, max_evals", [
+        (lambda: healpix_sampling(2), 4, None, 0, 14),
+        (lambda: healpix_sampling(8), 20, None, 0, 14),
+        (lambda: equiangular_sampling(8), 8, None, 0, 14),
+        (lambda: icosahedral_sampling(2), 8, None, 0, 14),
+        (lambda: random_uniform_sampling(300, 0), 8, None, 0, 14),
+        # the basin a search not started at t_h loses
+        (lambda: random_uniform_sampling(800, 0), 4, None, 0, 14),
+        # the error keeps falling up to 100 t_h
+        (lambda: equiangular_sampling(4), 8, [1, 2, 3], 42, 21),
+    ], ids=["healpix2-k4", "healpix8-k20", "equiangular8-k8", "icosahedral2-k8",
+            "random300-k8", "random800-k4", "edge-equiangular4-k8"])
+    def test_parabolic_search_matches_golden_section(self, make, k, degrees, seed, max_evals):
+        s = make()
+        band = reliable_band(s)
+        degrees = degrees or list(range(1, min(15, band) + 1))
+        cfg = EquivarianceConfig(seed=seed)
+        engine = SweepEngine(s, band)
+        family = GaussianGraphFamily(s, k)
+        draws = {l: engine.draws(k, "gaussian", l, cfg) for l in degrees}
+        calls = []
+        degree_ops = engine.degree_ops
+
+        def counted(L, max_degree):
+            calls.append(max_degree)
+            return degree_ops(L, max_degree)
+
+        engine.degree_ops = counted
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            t_opt = optimize_kernel_width(s, k, degrees, cfg, engine=engine, family=family,
+                                          draws=draws)
+        assert len(calls) <= max_evals
+        edge_warned = any("bracket edge" in str(w.message) for w in caught)
+        assert edge_warned == (max_evals == 21)
+
+        def objective(log_t):
+            ops = degree_ops(family.laplacian(float(np.exp(log_t))), max(degrees))
+            return float(np.mean([engine.cell_error(ops, draws[l], l).mean for l in degrees]))
+
+        log_t_golden, _ = _golden_section_search(objective, np.log(family.heuristic_width()))
+        assert abs(np.log(t_opt) - log_t_golden) <= 1e-3
+
+    @pytest.mark.parametrize("cutoff", [1.0 / 4.0, np.exp(-0.5)],
+                             ids=["below-minimum", "above-minimum"])
+    def test_infinite_objective_falls_back_to_golden_steps(self, cutoff):
+        # every width below cutoff * t_h acts as an operator that underflowed;
+        # the unconstrained minimum lies near t_h / 2.4, and the first step
+        # probes t_h / 5.8
+        s = icosahedral_sampling(2)
+        k = 8
+        degrees = list(range(1, 11))
+        cfg = EquivarianceConfig()
+        engine = SweepEngine(s, reliable_band(s))
+        family = GaussianGraphFamily(s, k)
+        t_h = family.heuristic_width()
+        widths = []
+        build = family.laplacian
+        cell_error = engine.cell_error
+
+        def recorded(t):
+            widths.append(t)
+            return build(t)
+
+        def underflowing(ops, draws, l):
+            if widths[-1] < cutoff * t_h:
+                raise UndefinedNormalizationError("underflowed")
+            return cell_error(ops, draws, l)
+
+        family.laplacian = recorded
+        engine.cell_error = underflowing
+        t_opt = optimize_kernel_width(s, k, degrees, cfg, engine=engine, family=family)
+        assert np.all(np.isfinite(widths)) and len(widths) <= 21
+        assert min(widths) < cutoff * t_h  # the objective was inf at least once
+        assert np.isfinite(t_opt) and t_opt >= cutoff * t_h
+        draws = {l: engine.draws(k, "gaussian", l, cfg) for l in degrees}
+
+        def objective(log_t):
+            t = float(np.exp(log_t))
+            if t < cutoff * t_h:
+                return np.inf
+            ops = engine.degree_ops(build(t), max(degrees))
+            return float(np.mean([cell_error(ops, draws[l], l).mean for l in degrees]))
+
+        log_t_golden, _ = _golden_section_search(objective, np.log(t_h))
+        assert abs(np.log(t_opt) - log_t_golden) <= 1e-3
+
+    def test_optimal_sweep_reuses_the_search_evaluation(self, monkeypatch):
+        # each degree_ops call in an optimal sweep is one of the search's evaluations
+        samplings = [healpix_sampling(2), healpix_sampling(4)]
+        degrees = range(1, 6)
+        cfg = EquivarianceConfig(3, 3, 5)
+        calls = []
+        degree_ops = SweepEngine.degree_ops
+
+        def counted(engine, L, max_degree):
+            calls.append(max_degree)
+            return degree_ops(engine, L, max_degree)
+
+        monkeypatch.setattr(SweepEngine, "degree_ops", counted)
+        rows = equivariance_sweep(samplings, [6], "gaussian", "optimal", degrees, cfg)
+        sweep_calls = len(calls)
+        del calls[:]
+        for s in samplings:
+            usable = [l for l in degrees if l <= reliable_band(s)]
+            engine = SweepEngine(s, reliable_band(s))
+            draws = {l: engine.draws(6, "gaussian", l, cfg) for l in usable}
+            t_opt = optimize_kernel_width(s, 6, usable, cfg, engine=engine, draws=draws)
+            ops = degree_ops(engine, GaussianGraphFamily(s, 6).laplacian(t_opt), max(usable))
+            for l in usable:
+                res = engine.cell_error(ops, draws[l], l)
+                row = next(r for r in rows if r.n == s.n and r.ell == l)
+                assert row.t == t_opt and row.samples == res.samples
+                assert row.mean_err == pytest.approx(res.mean, rel=1e-12)
+                assert row.std_err == pytest.approx(res.std, rel=1e-12)
+        assert sweep_calls == len(calls)  # the searches' evaluations
+
+
+def _golden_section_search(objective, center):
+    """The golden-section loop the parabolic search replaced, kept as its
+    oracle: (log t*, objective evaluations) over [center - ln 100, center + ln 100]."""
+    golden = (np.sqrt(5.0) - 1.0) / 2.0
+    best = float(center)
+    f_best = objective(best)
+    evals = 1
+    lo, hi = best - np.log(100.0), best + np.log(100.0)
+    while hi - lo > 1e-3:
+        if hi - best > best - lo:
+            x = best + (1.0 - golden) * (hi - best)
+        else:
+            x = best - (1.0 - golden) * (best - lo)
+        f_x = objective(x)
+        evals += 1
+        if f_x < f_best:
+            lo, hi = (best, hi) if x > best else (lo, best)
+            best, f_best = x, f_x
+        else:
+            lo, hi = (lo, x) if x > best else (x, hi)
+    return best, evals
 
 
 class TestFitPowerLaw:

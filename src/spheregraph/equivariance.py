@@ -130,8 +130,10 @@ class _CellDraws:
 class SweepEngine:
     """Shared factorization for Monte-Carlo equivariance estimates.
 
-    One engine holds the analysis plan (real basis matrix and inverse
-    Cholesky factor); every array it computes is real. It keeps no draws:
+    One engine holds the analysis plan (real basis and inverse Cholesky
+    factor) and reaches the basis only through the plan's synthesize,
+    adjoint and columns, so HEALPix and equiangular engines run ring by ring
+    and hold no dense basis; every array it computes is real. It keeps no draws:
     `draws` rebuilds a cell's draws bit for bit from the cell's seed, and
     kernel-width optimization holds on to the draws it got, so every width
     sees identical draws (common random numbers). The per-draw numerator is
@@ -154,9 +156,8 @@ class SweepEngine:
             raise InvalidArgumentError(
                 f"degree {max_degree} exceeds lmax_analysis={self.lmax}"
             )
-        msig = (max_degree + 1) ** 2
-        m_mat = L @ self.plan.basis[:, :msig]
-        ltil = self.plan.solve(self.plan.basis.T @ m_mat)
+        m_mat = L @ self.plan.columns(0, max_degree)
+        ltil = self.plan.solve(self.plan.adjoint(m_mat))
         linf = float(np.abs(L).sum(axis=1).max())
         return _DegreeOps(m_mat, ltil, linf)
 
@@ -169,7 +170,7 @@ class SweepEngine:
         a = draws.signals  # (2l+1, n_signals)
         m_l = ops.m[:, sl]
         lf = m_l @ a  # L f in pixel values, (n, n_signals)
-        f = self.plan.basis[:, sl] @ a
+        f = self.plan.columns(l, l) @ a
         lf_norm2 = np.einsum("is,is->s", lf, lf)
         f_norm2 = np.einsum("is,is->s", f, f)
         valid = lf_norm2 > (1e-12 * ops.linf) ** 2 * f_norm2
@@ -180,7 +181,7 @@ class SweepEngine:
         u_all = draws.blocks.apply(ops.ltil[:, sl] @ a).reshape(-1, n_r * n_s)
         d_all = np.matmul(draws.blocks[l], a).transpose(1, 0, 2).reshape(-1, n_r * n_s)
 
-        diff = self.plan.basis @ u_all  # R(g) L f
+        diff = self.plan.synthesize(u_all)  # R(g) L f
         diff -= m_l @ d_all  # L R(g) f
         num2 = np.einsum("ij,ij->j", diff, diff)
 

@@ -18,6 +18,12 @@ sampled. U is one fixed unitary per degree, so real tables are r = U^H a and
 real Wigner blocks are U^H D U (Blanco, Florez & Bermejo 1997). Complex tables
 appear only at the HarmonicCoeffs boundary: analysis, synthesis, rotate_coeffs
 and the CSV files.
+
+AnalysisPlan reaches the basis only through B u, B^T x and B's columns of a
+degree range. On samplings whose pixels lie on iso-latitude rings (HEALPix
+ring and nested, equiangular) it keeps B factored into per-ring Legendre
+values and per-pixel cos m phi / sin m phi (_RingBasis) and synthesizes ring
+by ring; other samplings keep the dense n x (lmax+1)^2 array (_DenseBasis).
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import IllPosedAnalysisError, InvalidArgumentError, NumericalFailureError
-from .samplings import Sampling, reliable_band
+from .samplings import Sampling, _ring_count, _zphi_to_xyz, reliable_band
 
 _CONDITION_LIMIT = 1e12
 _RIDGE_REL = 1e-12
@@ -365,17 +371,130 @@ def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+class _DenseBasis:
+    """B held whole, as the n x m array evaluate_basis returns: the route of
+    samplings without iso-latitude rings."""
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+
+    def synthesize(self, table: np.ndarray) -> np.ndarray:
+        return self.matrix @ table
+
+    def adjoint(self, values: np.ndarray) -> np.ndarray:
+        return self.matrix.T @ values
+
+    def columns(self, lo: int, hi: int) -> np.ndarray:
+        return self.matrix[:, lo * lo:(hi + 1) ** 2]
+
+
+class _RingBasis:
+    """B of an iso-latitude sampling in factored form (Gorski et al. 2005;
+    Driscoll & Healy 1994).
+
+    A pixel on ring r at longitude phi has B[pixel, (l, m)] =
+    lam[|m|, r, l] * trig(m phi): lam[m, r, l] is the real basis at the
+    ring's z and phi = 0 (evaluate_basis at one point per ring; zero for
+    l < m), and trig is cos(m phi) for m >= 0 and sin(|m| phi) for m < 0.
+    The trig table has one row per slot of the rings padded to the longest
+    ring, cos(m phi) in column m and sin(m phi) in column lmax + m. Synthesis
+    sums over l for each order (one batched GEMM for the cos orders, one for
+    the sin orders) and then over orders for each ring (one batched GEMM over
+    the rings); the adjoint is the transpose of the two steps. The pixel
+    order (ring or nested) is only the map from pixels to slots.
+    """
+
+    def __init__(self, s: Sampling, lmax: int):
+        ring_z, ring = np.unique(s.points[:, 2], return_inverse=True)
+        rings = _ring_count(s)
+        if ring_z.size != rings:
+            raise InvalidArgumentError(
+                f"{s.scheme} sampling at resolution {s.resolution} has {ring_z.size} distinct "
+                f"z values, not the scheme's {rings} rings"
+            )
+        counts = np.bincount(ring)
+        width = int(counts.max())
+        place = np.empty(s.n, dtype=np.int64)  # position of each pixel in its ring
+        place[np.argsort(ring, kind="stable")] = (np.arange(s.n)
+                                                  - np.repeat(np.cumsum(counts) - counts, counts))
+        self.n, self.lmax = s.n, lmax
+        self._ring = ring
+        self._slot = ring * width + place
+
+        orders = lmax + 1
+        l, m, _ = _row_map(0, lmax)
+        at_phi0 = evaluate_basis(_zphi_to_xyz(ring_z, np.zeros_like(ring_z)), lmax)
+        self._lam = np.zeros((orders, rings, orders))
+        up = m >= 0
+        self._lam[m[up], :, l[up]] = at_phi0[:, up].T
+        # row (l, m) of a table is row l of by-order block m (m >= 0) or lmax + |m| (m < 0)
+        self._table_row = self._trig_column(m) * orders + l
+
+        angle = np.multiply.outer(np.arctan2(s.points[:, 1], s.points[:, 0]), np.arange(orders))
+        trig = np.zeros((rings * width, 2 * lmax + 1))
+        trig[self._slot] = np.hstack([np.cos(angle), np.sin(angle[:, 1:])])
+        self._trig = trig.reshape(rings, width, 2 * lmax + 1)
+
+    def synthesize(self, table: np.ndarray) -> np.ndarray:
+        orders = self.lmax + 1
+        u = table.reshape(table.shape[0], -1)
+        dtype = np.result_type(u, 1.0)
+        by_order = np.zeros(((2 * orders - 1) * orders, u.shape[1]), dtype)
+        by_order[self._table_row] = u
+        by_order = by_order.reshape(2 * orders - 1, orders, -1)
+        ring_sums = np.empty((2 * orders - 1, self._lam.shape[1], u.shape[1]), dtype)
+        np.matmul(self._lam, by_order[:orders], out=ring_sums[:orders])
+        np.matmul(self._lam[1:], by_order[orders:], out=ring_sums[orders:])
+        del by_order  # each step's input is freed before the next one allocates
+        slots = np.matmul(self._trig, ring_sums.transpose(1, 0, 2))
+        del ring_sums
+        return slots.reshape(-1, u.shape[1])[self._slot].reshape((self.n,) + table.shape[1:])
+
+    def adjoint(self, values: np.ndarray) -> np.ndarray:
+        orders = self.lmax + 1
+        x = values.reshape(self.n, -1)
+        dtype = np.result_type(x, 1.0)  # analysis also takes complex pixel values
+        slots = np.zeros((self._trig.shape[0] * self._trig.shape[1], x.shape[1]), dtype)
+        slots[self._slot] = x
+        ring_sums = np.matmul(self._trig.transpose(0, 2, 1),
+                              slots.reshape(self._trig.shape[:2] + (-1,))).transpose(1, 0, 2)
+        del slots  # each step's input is freed before the next one allocates
+        lam_t = self._lam.transpose(0, 2, 1)
+        by_order = np.empty((2 * orders - 1, orders, x.shape[1]), dtype)
+        np.matmul(lam_t, ring_sums[:orders], out=by_order[:orders])
+        np.matmul(lam_t[1:], ring_sums[orders:], out=by_order[orders:])
+        del ring_sums
+        out = by_order.reshape(-1, x.shape[1])[self._table_row]
+        return out.reshape((out.shape[0],) + values.shape[1:])
+
+    def columns(self, lo: int, hi: int) -> np.ndarray:
+        l, m, _ = _row_map(lo, hi)
+        lam = np.ascontiguousarray(self._lam[np.abs(m), :, l].T)  # (rings, columns)
+        out = lam[self._ring]
+        out *= self._trig.reshape(-1, self._trig.shape[2])[self._slot][:, self._trig_column(m)]
+        return out
+
+    def _trig_column(self, m: np.ndarray) -> np.ndarray:
+        """Column of cos(m phi) (m >= 0) or sin(|m| phi) (m < 0) in the trig table."""
+        return np.where(m >= 0, m, self.lmax - m)
+
+
 class AnalysisPlan:
     """Factorized least-squares analysis for one (sampling, lmax) pair.
 
-    Holds the real basis matrix B (evaluate_basis) and the inverse R^-1
-    of the upper Cholesky factor of G + ridge*I = R^T R, where G = B^T B and
-    the ridge is 1e-12 relative to the mean Gram diagonal. G is formed,
-    factored and inverted in one m x m array and is not kept. The condition
-    estimate is read from R's diagonal before it is inverted. Tables in and
-    out are real-basis tables. Where a sampling theorem holds the ridge solve
-    reduces to the exact transform; elsewhere it is the regularized
-    approximation of the inverse sampling operator.
+    Holds the real basis B (evaluate_basis) and the inverse R^-1 of the upper
+    Cholesky factor of G + ridge*I = R^T R, where G = B^T B and the ridge is
+    1e-12 relative to the mean Gram diagonal. G is formed from a dense B,
+    then factored and inverted in one m x m array, and is not kept. The
+    condition estimate is read from R's diagonal before it is inverted. The
+    scheme picks how B is kept: HEALPix (ring and nested) and equiangular
+    samplings keep it in ring-factored form (_RingBasis) and drop the dense
+    array once G is formed; other samplings keep the dense array. Callers
+    reach B only through synthesize (B u), adjoint (B^T x) and columns (B's
+    columns of a degree range). Tables in and out are real-basis tables.
+    Where a sampling theorem holds the ridge solve reduces to the exact
+    transform; elsewhere it is the regularized approximation of the inverse
+    sampling operator.
     """
 
     def __init__(self, s: Sampling, lmax: int):
@@ -395,10 +514,15 @@ class AnalysisPlan:
             )
         self.sampling = s
         self.lmax = lmax
-        self.basis = evaluate_basis(s, lmax)
+        basis = evaluate_basis(s, lmax)
         # the upper triangle of G; B^T is B in Fortran order, so BLAS reads it
         # in place, and the strict lower triangle stays zero from here to R^-1
-        gram = sla.blas.dsyrk(1.0, self.basis.T, lower=0)
+        gram = sla.blas.dsyrk(1.0, basis.T, lower=0)
+        if _ring_count(s) is None:
+            self._basis = _DenseBasis(basis)
+        else:
+            del basis
+            self._basis = _RingBasis(s, lmax)
         gram[np.diag_indices(ncoef)] += _RIDGE_REL * float(np.mean(gram.diagonal()))
         factor, _ = sla.cho_factor(gram, lower=False, overwrite_a=True)
         diag = np.abs(np.diag(factor))
@@ -417,9 +541,21 @@ class AnalysisPlan:
             raise NumericalFailureError(f"inverting the Gram factor failed (LAPACK info {info})",
                                         {"info": info})
 
+    def synthesize(self, table: np.ndarray) -> np.ndarray:
+        """B table: pixel values of real-basis table(s) (m,) or (m, cols)."""
+        return self._basis.synthesize(table)
+
+    def adjoint(self, values: np.ndarray) -> np.ndarray:
+        """B^T values for pixel values (n,) or (n, cols)."""
+        return self._basis.adjoint(values)
+
+    def columns(self, lo: int, hi: int) -> np.ndarray:
+        """The (n, (hi+1)^2 - lo^2) columns of B for degrees lo..hi."""
+        return self._basis.columns(lo, hi)
+
     def analyze_table(self, signal: np.ndarray) -> np.ndarray:
         """Least-squares real-basis table(s) for pixel values (n,) or (n, cols)."""
-        return self.solve(self.basis.T @ signal)
+        return self.solve(self.adjoint(signal))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """(G + ridge I)^-1 rhs = R^-1 (R^-T rhs), for G + ridge I = R^T R.
@@ -448,8 +584,8 @@ def synthesis(s: Sampling, coeffs: HarmonicCoeffs,
         raise InvalidArgumentError(
             "coefficients are not conjugate-symmetric; synthesis would be complex"
         )
-    basis = plan.basis if plan is not None else evaluate_basis(s, coeffs.lmax)
-    return basis @ coeffs.real_values().real
+    table = coeffs.real_values().real
+    return plan.synthesize(table) if plan is not None else evaluate_basis(s, coeffs.lmax) @ table
 
 
 class RotationOperator:
@@ -465,7 +601,7 @@ class RotationOperator:
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         table = self.plan.analyze_table(np.asarray(f, dtype=np.float64))
-        return self.plan.basis @ self.blocks.apply(table)[:, 0]
+        return self.plan.synthesize(self.blocks.apply(table)[:, 0])
 
     __call__ = apply
 

@@ -321,6 +321,19 @@ def reliable_band(s: Sampling) -> int:
     return isqrt(s.n) - 1
 
 
+def _ring_count(s: Sampling) -> Optional[int]:
+    """Number of iso-latitude rings that hold the sampling's pixels.
+
+    4*Nside - 1 for HEALPix (ring or nested order), 2b for equiangular, None
+    for schemes whose pixels are not laid out on rings.
+    """
+    if s.scheme in ("healpix-ring", "healpix-nested"):
+        return 4 * s.resolution - 1
+    if s.scheme == "equiangular":
+        return 2 * s.resolution
+    return None
+
+
 def rotation_permutation(s: Sampling, rotation_matrix: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Permutation realizing a rotation that maps the sampling onto itself.
 

@@ -32,10 +32,12 @@ from spheregraph.harmonics import (
     Rotation,
     RotationOperator,
     degree_slice,
+    evaluate_basis,
     random_degree_signal,
     random_rotation,
 )
 from spheregraph.samplings import (
+    Sampling,
     equiangular_sampling,
     healpix_sampling,
     icosahedral_sampling,
@@ -153,11 +155,12 @@ class TestMeanEquivarianceError:
         fast = mean_equivariance_error(s, 8, w, 3, cfg, engine=engine)
         lap = laplacian(build_graph(s, 8, w))
         draws = engine.draws(8, "gaussian", 3, cfg)
+        degree3 = evaluate_basis(s, lmax)[:, degree_slice(3)]
         errs = []
         for g in draws.rotations:
             op = RotationOperator(s, g, lmax, plan=engine.plan)
             for i in range(draws.signals.shape[1]):
-                f = engine.plan.basis[:, degree_slice(3)] @ draws.signals[:, i]
+                f = degree3 @ draws.signals[:, i]
                 errs.append(equivariance_error(lap, op, f))
         assert fast.samples == len(errs)
         assert fast.mean == pytest.approx(np.mean(errs), rel=1e-6)
@@ -472,6 +475,47 @@ def _golden_section_search(objective, center):
         else:
             lo, hi = (lo, x) if x > best else (x, hi)
     return best, evals
+
+
+class TestRingRoute:
+    """HEALPix and equiangular engines run on the ring-factored basis; the same
+    points as a custom sampling take the dense route and are the oracle."""
+
+    @pytest.fixture(params=[
+        pytest.param(lambda: (healpix_sampling(8, "ring"), 23), id="healpix-ring"),
+        pytest.param(lambda: (healpix_sampling(8, "nested"), 23), id="healpix-nested"),
+        pytest.param(lambda: (equiangular_sampling(8), 7), id="equiangular"),
+    ])
+    def ring_and_dense(self, request):
+        s, lmax = request.param()
+        dense = Sampling(s.points, "custom", s.n)
+        return s, dense, lmax
+
+    def test_cell_error_matches_dense_route(self, ring_and_dense):
+        s, dense, lmax = ring_and_dense
+        cfg = EquivarianceConfig(5, 4, 11, lmax)
+        ring_engine, dense_engine = SweepEngine(s, lmax), SweepEngine(dense, lmax)
+        assert not isinstance(dense_engine.plan._basis, type(ring_engine.plan._basis))
+        lap = laplacian(build_graph(s, 8, WeightScheme("gaussian", heuristic_kernel_width(s, 8))))
+        ring_ops, dense_ops = ring_engine.degree_ops(lap, 5), dense_engine.degree_ops(lap, 5)
+        for l in (1, 3, 5):
+            draws = ring_engine.draws(8, "gaussian", l, cfg)
+            got = ring_engine.cell_error(ring_ops, draws, l)
+            want = dense_engine.cell_error(dense_ops, draws, l)
+            assert got.samples == want.samples
+            assert got.mean == pytest.approx(want.mean, rel=1e-10)
+            assert got.std == pytest.approx(want.std, rel=1e-10)
+
+    def test_kernel_width_matches_dense_route(self, ring_and_dense):
+        s, dense, lmax = ring_and_dense
+        cfg = EquivarianceConfig(4, 3, 5, lmax)
+        degrees = [1, 2, 3]
+        ring_engine = SweepEngine(s, lmax)
+        draws = {l: ring_engine.draws(8, "gaussian", l, cfg) for l in degrees}
+        got = optimize_kernel_width(s, 8, degrees, cfg, engine=ring_engine, draws=draws)
+        want = optimize_kernel_width(dense, 8, degrees, cfg, engine=SweepEngine(dense, lmax),
+                                     draws=draws)
+        assert got == pytest.approx(want, rel=1e-10)
 
 
 class TestFitPowerLaw:

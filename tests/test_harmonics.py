@@ -34,6 +34,7 @@ from spheregraph.harmonics import (
 )
 from spheregraph.io import read_coeffs_csv, write_coeffs_csv
 from spheregraph.samplings import (
+    Sampling,
     equiangular_sampling,
     healpix_sampling,
     icosahedral_sampling,
@@ -58,9 +59,9 @@ def random_and_gimbal_rotations() -> list:
     return rotations + [Rotation(0.0, 0.0, 0.0), Rotation(1.2, 0.0, 0.4), Rotation(0.7, np.pi, 0.3)]
 
 
-def _ridged_gram(plan: AnalysisPlan) -> np.ndarray:
-    """G + ridge I, the matrix the plan solves with, formed from the plan's basis."""
-    gram = plan.basis.T @ plan.basis
+def _ridged_gram(basis: np.ndarray) -> np.ndarray:
+    """G + ridge I, the matrix a plan on this basis solves with."""
+    gram = basis.T @ basis
     gram[np.diag_indices_from(gram)] += _RIDGE_REL * np.mean(gram.diagonal())
     return gram
 
@@ -312,8 +313,8 @@ class TestAnalysisSynthesis:
     def test_gram_factored_without_extra_copy(self, monkeypatch):
         # beyond the inverse factor it keeps, building a plan may hold less
         # than one more m x m matrix: G, its factor and the inverse are one
-        # array.
-        s, lmax = healpix_sampling(8), 23
+        # array. The dense route is the one that keeps the given basis.
+        s, lmax = icosahedral_sampling(4), 23
         m = (lmax + 1) ** 2
         basis = evaluate_basis(s, lmax)
         monkeypatch.setattr(harmonics, "evaluate_basis", lambda *args: basis)
@@ -323,8 +324,26 @@ class TestAnalysisSynthesis:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert plan.basis is basis
+        assert plan._basis.matrix is basis
         assert (peak - plan._r_inv.nbytes) / (8 * m * m) < 0.9
+
+    @pytest.mark.parametrize("make", [
+        lambda: healpix_sampling(8, "ring"),
+        lambda: healpix_sampling(8, "nested"),
+        lambda: equiangular_sampling(24),
+    ], ids=["healpix-ring", "healpix-nested", "equiangular"])
+    def test_ring_plan_drops_the_dense_basis(self, make):
+        # a ring plan keeps R^-1 and its ring tables, and no n x m array
+        s, lmax = make(), 23
+        n_m_bytes = 8 * s.n * (lmax + 1) ** 2
+        tracemalloc.start()
+        try:
+            plan = AnalysisPlan(s, lmax)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not isinstance(plan._basis, harmonics._DenseBasis)
+        assert held - plan._r_inv.nbytes < 0.5 * n_m_bytes
 
     def test_failed_factor_inversion_raises(self, monkeypatch):
         monkeypatch.setattr(sla.lapack, "dtrtri", lambda c, lower, overwrite_c: (c, 3))
@@ -339,8 +358,9 @@ class TestAnalysisSynthesis:
     def test_solve_matches_cholesky_solve(self, make):
         s = make()
         plan = AnalysisPlan(s, reliable_band(s))
-        rhs = plan.basis.T @ np.random.default_rng(3).standard_normal((s.n, 5))
-        want = sla.cho_solve(sla.cho_factor(_ridged_gram(plan)), rhs)
+        basis = evaluate_basis(s, reliable_band(s))
+        rhs = basis.T @ np.random.default_rng(3).standard_normal((s.n, 5))
+        want = sla.cho_solve(sla.cho_factor(_ridged_gram(basis)), rhs)
         got = plan.solve(rhs)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
@@ -353,8 +373,9 @@ class TestAnalysisSynthesis:
         # right-hand sides B^T f, as analysis and degree_ops pass them
         s = make()
         plan = AnalysisPlan(s, reliable_band(s))
-        rhs = plan.basis.T @ np.random.default_rng(3).standard_normal((s.n, 5))
-        residual = _ridged_gram(plan) @ plan.solve(rhs) - rhs
+        basis = evaluate_basis(s, reliable_band(s))
+        rhs = basis.T @ np.random.default_rng(3).standard_normal((s.n, 5))
+        residual = _ridged_gram(basis) @ plan.solve(rhs) - rhs
         assert np.linalg.norm(residual) <= 1e-11 * np.linalg.norm(rhs)
 
     def test_condition_estimate_reported(self):
@@ -363,6 +384,63 @@ class TestAnalysisSynthesis:
             AnalysisPlan(s, 5)  # 36 coefficients from 40 random points: near-singular
         except IllPosedAnalysisError as err:
             assert err.condition_estimate > 1e12
+
+
+def _ring_cases():
+    samplings = ([(f"healpix-{order}-{nside}", lambda nside=nside, order=order:
+                   healpix_sampling(nside, order))
+                  for nside in (1, 2, 4, 8, 16) for order in ("ring", "nested")]
+                 + [(f"equiangular-{b}", lambda b=b: equiangular_sampling(b)) for b in range(1, 17)])
+    return [pytest.param(make, part, id=f"{name}-{part}")
+            for name, make in samplings for part in ("band", "half-band")]
+
+
+class TestRingBasis:
+    """HEALPix and equiangular plans keep B ring-factored; evaluate_basis is the oracle."""
+
+    @pytest.mark.parametrize("make, part", _ring_cases())
+    def test_ring_products_match_dense_basis(self, make, part):
+        s = make()
+        lmax = reliable_band(s) if part == "band" else reliable_band(s) // 2
+        plan = AnalysisPlan(s, lmax)
+        assert isinstance(plan._basis, harmonics._RingBasis)
+        basis = evaluate_basis(s, lmax)
+        rng = np.random.default_rng(lmax)
+        table = rng.standard_normal((basis.shape[1], 7))
+        values = rng.standard_normal((s.n, 7))
+
+        def close(got, want):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+        close(plan.synthesize(table), basis @ table)
+        close(plan.synthesize(table[:, 0]), basis @ table[:, 0])
+        close(plan.adjoint(values), basis.T @ values)
+        close(plan.adjoint(values[:, 0]), basis.T @ values[:, 0])
+        for lo, hi in [(0, lmax), (0, min(lmax, 3)), (lmax, lmax)] + [(l, l) for l in range(lmax)]:
+            close(plan.columns(lo, hi), basis[:, lo * lo:(hi + 1) ** 2])
+
+    @pytest.mark.parametrize("make", [
+        lambda: healpix_sampling(8, "ring"),
+        lambda: healpix_sampling(8, "nested"),
+        lambda: equiangular_sampling(12),
+    ], ids=["healpix-ring", "healpix-nested", "equiangular"])
+    def test_adjoint_identity(self, make):
+        s = make()
+        plan = AnalysisPlan(s, reliable_band(s))
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal(((reliable_band(s) + 1) ** 2, 3))
+        x = rng.standard_normal((s.n, 3))
+        lhs = np.sum(plan.synthesize(u) * x, axis=0)
+        rhs = np.sum(u * plan.adjoint(x), axis=0)
+        scale = np.linalg.norm(plan.synthesize(u), axis=0) * np.linalg.norm(x, axis=0)
+        assert np.all(np.abs(lhs - rhs) <= 1e-13 * scale)
+
+    def test_scheme_points_off_the_rings_rejected(self):
+        s = healpix_sampling(2)
+        moved = Sampling(random_uniform_sampling(s.n, 0).points, s.scheme, s.resolution)
+        with pytest.raises(InvalidArgumentError, match="not the scheme's 7 rings"):
+            AnalysisPlan(moved, 2)
 
 
 class TestRotations:

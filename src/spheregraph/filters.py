@@ -34,10 +34,14 @@ class FilterCoeffs:
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=np.float64))
         if c.ndim != 1 or c.size == 0:
             raise InvalidArgumentError("coeffs must be a non-empty 1-d vector")
+        if not np.all(np.isfinite(c)):
+            raise InvalidArgumentError("filter coefficients must be finite")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
         if self.basis not in FILTER_BASES:
             raise InvalidArgumentError(f"unknown filter basis {self.basis!r}")
+        if self.lambda_max is not None and not np.isfinite(self.lambda_max):
+            raise InvalidArgumentError(f"lambda_max must be finite, got {self.lambda_max}")
         if self.basis == "chebyshev":
             if self.lambda_max is None or not self.lambda_max > 0:
                 raise InvalidArgumentError("chebyshev filters need lambda_max > 0")

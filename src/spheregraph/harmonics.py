@@ -19,11 +19,13 @@ real Wigner blocks are U^H D U (Blanco, Florez & Bermejo 1997). Complex tables
 appear only at the HarmonicCoeffs boundary: analysis, synthesis, rotate_coeffs
 and the CSV files.
 
-AnalysisPlan reaches the basis only through B u, B^T x and B's columns of a
-degree range. On samplings whose pixels lie on iso-latitude rings (HEALPix
-ring and nested, equiangular) it keeps B factored into per-ring Legendre
-values and per-pixel cos m phi / sin m phi (_RingBasis) and synthesizes ring
-by ring; other samplings keep the dense n x (lmax+1)^2 array (_DenseBasis).
+AnalysisPlan reaches the basis only through B u, B^T x, B's columns of a
+degree range and the upper triangle of G = B^T B. On samplings whose pixels
+lie on iso-latitude rings (HEALPix ring and nested, equiangular) it keeps B
+factored into per-ring Legendre values and per-pixel cos m phi / sin m phi
+(_RingBasis), synthesizes ring by ring and forms G one degree's block column
+at a time, never holding an n x (lmax+1)^2 array; other samplings keep that
+dense array (_DenseBasis) and form G from it with one dsyrk.
 """
 
 from __future__ import annotations
@@ -375,8 +377,18 @@ class _DenseBasis:
     """B held whole, as the n x m array evaluate_basis returns: the route of
     samplings without iso-latitude rings."""
 
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = matrix
+    def __init__(self, s: Sampling, lmax: int):
+        self.matrix = evaluate_basis(s, lmax)
+
+    @staticmethod
+    def nbytes(s: Sampling, lmax: int) -> int:
+        """Bytes of the n x m array a dense basis holds."""
+        return 8 * s.n * (lmax + 1) ** 2
+
+    def gram(self) -> np.ndarray:
+        """The upper triangle of G = B^T B, strict lower triangle zero: one BLAS
+        dsyrk, which reads B^T (B in Fortran order) in place."""
+        return sla.blas.dsyrk(1.0, self.matrix.T, lower=0)
 
     def synthesize(self, table: np.ndarray) -> np.ndarray:
         return self.matrix @ table
@@ -401,7 +413,9 @@ class _RingBasis:
     sums over l for each order (one batched GEMM for the cos orders, one for
     the sin orders) and then over orders for each ring (one batched GEMM over
     the rings); the adjoint is the transpose of the two steps. The pixel
-    order (ring or nested) is only the map from pixels to slots.
+    order (ring or nested) is only the map from pixels to slots. G = B^T B
+    comes from the adjoint's two steps applied to B's own columns, one
+    degree's block column B^T B_l at a time, so no n x m array is held.
     """
 
     def __init__(self, s: Sampling, lmax: int):
@@ -435,6 +449,37 @@ class _RingBasis:
         trig[self._slot] = np.hstack([np.cos(angle), np.sin(angle[:, 1:])])
         self._trig = trig.reshape(rings, width, 2 * lmax + 1)
 
+    @staticmethod
+    def nbytes(s: Sampling, lmax: int) -> int:
+        """Bytes of the tables a ring basis holds: lam, the trig table padded to
+        the longest ring, and the pixels' ring and slot indices."""
+        counts = np.unique(s.points[:, 2], return_counts=True)[1]
+        return 8 * (counts.size * ((lmax + 1) ** 2 + int(counts.max()) * (2 * lmax + 1)) + 2 * s.n)
+
+    def gram(self) -> np.ndarray:
+        """The upper triangle of G = B^T B, strict lower triangle zero, filled
+        one degree's block column B^T B_l at a time.
+
+        B_l is formed straight in the slot layout, each ring's Legendre values
+        times its cos/sin columns, so the adjoint's two steps run on it without
+        a pixel-ordered n x (2l+1) copy of the columns.
+        """
+        ncoef = (self.lmax + 1) ** 2
+        gram = np.zeros((ncoef, ncoef), order="F")  # factored in place, as dsyrk's result is
+        for l in range(self.lmax + 1):
+            sl = degree_slice(l)
+            _, m, _ = _row_map(l, l)
+            slots = self._trig[:, :, self._trig_column(m)]
+            slots *= self._lam[np.abs(m), :, l].T[:, None, :]
+            ring_sums = np.matmul(self._trig.transpose(0, 2, 1), slots)
+            del slots  # each step's input is freed before the next one allocates
+            by_order = self._legendre_adjoint(ring_sums).reshape(-1, sl.stop - sl.start)
+            del ring_sums
+            gram[:sl.stop, sl] = by_order[self._table_row[:sl.stop]]  # rows of degrees <= l
+            del by_order
+            gram[sl, sl] = np.triu(gram[sl, sl])
+        return gram
+
     def synthesize(self, table: np.ndarray) -> np.ndarray:
         orders = self.lmax + 1
         u = table.reshape(table.shape[0], -1)
@@ -451,21 +496,28 @@ class _RingBasis:
         return slots.reshape(-1, u.shape[1])[self._slot].reshape((self.n,) + table.shape[1:])
 
     def adjoint(self, values: np.ndarray) -> np.ndarray:
-        orders = self.lmax + 1
         x = values.reshape(self.n, -1)
         dtype = np.result_type(x, 1.0)  # analysis also takes complex pixel values
         slots = np.zeros((self._trig.shape[0] * self._trig.shape[1], x.shape[1]), dtype)
         slots[self._slot] = x
         ring_sums = np.matmul(self._trig.transpose(0, 2, 1),
-                              slots.reshape(self._trig.shape[:2] + (-1,))).transpose(1, 0, 2)
+                              slots.reshape(self._trig.shape[:2] + (-1,)))
         del slots  # each step's input is freed before the next one allocates
-        lam_t = self._lam.transpose(0, 2, 1)
-        by_order = np.empty((2 * orders - 1, orders, x.shape[1]), dtype)
-        np.matmul(lam_t, ring_sums[:orders], out=by_order[:orders])
-        np.matmul(lam_t[1:], ring_sums[orders:], out=by_order[orders:])
+        by_order = self._legendre_adjoint(ring_sums)
         del ring_sums
         out = by_order.reshape(-1, x.shape[1])[self._table_row]
         return out.reshape((out.shape[0],) + values.shape[1:])
+
+    def _legendre_adjoint(self, ring_sums: np.ndarray) -> np.ndarray:
+        """The adjoint's sum over rings for each order: per-ring cos/sin sums of
+        shape (rings, 2 lmax + 1, cols) to by-order blocks (2 lmax + 1, lmax + 1, cols)."""
+        orders = self.lmax + 1
+        sums = ring_sums.transpose(1, 0, 2)  # (2 lmax + 1, rings, cols)
+        lam_t = self._lam.transpose(0, 2, 1)
+        by_order = np.empty((2 * orders - 1, orders, ring_sums.shape[2]), ring_sums.dtype)
+        np.matmul(lam_t, sums[:orders], out=by_order[:orders])
+        np.matmul(lam_t[1:], sums[orders:], out=by_order[orders:])
+        return by_order
 
     def columns(self, lo: int, hi: int) -> np.ndarray:
         l, m, _ = _row_map(lo, hi)
@@ -482,19 +534,20 @@ class _RingBasis:
 class AnalysisPlan:
     """Factorized least-squares analysis for one (sampling, lmax) pair.
 
-    Holds the real basis B (evaluate_basis) and the inverse R^-1 of the upper
-    Cholesky factor of G + ridge*I = R^T R, where G = B^T B and the ridge is
-    1e-12 relative to the mean Gram diagonal. G is formed from a dense B,
-    then factored and inverted in one m x m array, and is not kept. The
-    condition estimate is read from R's diagonal before it is inverted. The
-    scheme picks how B is kept: HEALPix (ring and nested) and equiangular
-    samplings keep it in ring-factored form (_RingBasis) and drop the dense
-    array once G is formed; other samplings keep the dense array. Callers
-    reach B only through synthesize (B u), adjoint (B^T x) and columns (B's
-    columns of a degree range). Tables in and out are real-basis tables.
-    Where a sampling theorem holds the ridge solve reduces to the exact
-    transform; elsewhere it is the regularized approximation of the inverse
-    sampling operator.
+    Holds the real basis B and the inverse R^-1 of the upper Cholesky factor
+    of G + ridge*I = R^T R, where G = B^T B and the ridge is 1e-12 relative
+    to the mean Gram diagonal. The scheme picks how B is kept, and the basis
+    forms the upper triangle of G in its own way: HEALPix (ring and nested)
+    and equiangular samplings keep B ring-factored (_RingBasis), evaluate the
+    basis only at one point per ring and form G one degree's block column at
+    a time; other samplings keep the dense array (_DenseBasis) and form G
+    with one dsyrk. One m x m array then holds G, R and R^-1; G is not kept.
+    The condition estimate is read from R's diagonal before it is inverted.
+    Callers reach B only through synthesize (B u), adjoint (B^T x) and
+    columns (B's columns of a degree range). Tables in and out are
+    real-basis tables. Where a sampling theorem holds the ridge solve reduces
+    to the exact transform; elsewhere it is the regularized approximation of
+    the inverse sampling operator.
     """
 
     def __init__(self, s: Sampling, lmax: int):
@@ -503,9 +556,10 @@ class AnalysisPlan:
             raise InvalidArgumentError(
                 f"analysis needs (lmax+1)^2 <= n: {ncoef} > {s.n}"
             )
-        # doubles: the real basis (n*m) and one m*m array that holds G, then
+        basis_class = _DenseBasis if _ring_count(s) is None else _RingBasis
+        # doubles: what the basis holds, and one m*m array that holds G, then
         # R, then R^-1
-        need = 8 * (s.n * ncoef + ncoef * ncoef)
+        need = basis_class.nbytes(s, lmax) + 8 * ncoef * ncoef
         memory = _physical_memory_bytes()
         if need > memory:
             raise InvalidArgumentError(
@@ -514,15 +568,10 @@ class AnalysisPlan:
             )
         self.sampling = s
         self.lmax = lmax
-        basis = evaluate_basis(s, lmax)
-        # the upper triangle of G; B^T is B in Fortran order, so BLAS reads it
-        # in place, and the strict lower triangle stays zero from here to R^-1
-        gram = sla.blas.dsyrk(1.0, basis.T, lower=0)
-        if _ring_count(s) is None:
-            self._basis = _DenseBasis(basis)
-        else:
-            del basis
-            self._basis = _RingBasis(s, lmax)
+        self._basis = basis_class(s, lmax)
+        # the upper triangle of G; its strict lower triangle stays zero from
+        # here to R^-1, which solve multiplies by whole
+        gram = self._basis.gram()
         gram[np.diag_indices(ncoef)] += _RIDGE_REL * float(np.mean(gram.diagonal()))
         factor, _ = sla.cho_factor(gram, lower=False, overwrite_a=True)
         diag = np.abs(np.diag(factor))

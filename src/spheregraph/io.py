@@ -146,7 +146,8 @@ def write_sparse_csv(matrix, path, comments: Optional[Sequence[str]] = None) -> 
 
 
 def read_sparse_csv(path):
-    """Inverse of write_sparse_csv; the `n,nnz` line must match the triplets."""
+    """Inverse of write_sparse_csv; the `n,nnz` line must match the triplets, and
+    no (row, col) may repeat."""
     with open(path) as fh:
         lines = _data_lines(fh, None)
         first = next(lines, None)
@@ -158,7 +159,11 @@ def read_sparse_csv(path):
         raise InvalidArgumentError(f"{path}: header announces {nnz} entries, found {ii.size}")
     if np.any((ii < 0) | (ii >= n) | (jj < 0) | (jj >= n)):
         raise InvalidArgumentError(f"{path}: entry index outside [0, {n})")
-    return sp.coo_matrix((data, (ii, jj)), shape=(n, n)).tocsr()
+    matrix = sp.coo_matrix((data, (ii, jj)), shape=(n, n)).tocsr()
+    if matrix.nnz != nnz:  # the conversion sums repeated (row, col) entries into one
+        raise InvalidArgumentError(
+            f"{path}: repeated (row, col) entries: {nnz} triplets hold {matrix.nnz} positions")
+    return matrix
 
 
 def write_coeffs_csv(coeffs: HarmonicCoeffs, path,

@@ -166,6 +166,19 @@ class TestBasisChange:
         with pytest.raises(InvalidArgumentError):
             FilterCoeffs("chebyshev", [1.0, 2.0])
 
+    @pytest.mark.parametrize("basis, coeffs, lambda_max", [
+        ("chebyshev", [1.0, 2.0], np.inf),
+        ("chebyshev", [1.0, 2.0], np.nan),
+        ("monomial", [1.0, 2.0], np.inf),
+        ("monomial", [1.0, np.nan], None),
+        ("monomial", [np.inf], None),
+        ("chebyshev", [1.0, -np.inf], 2.0),
+    ])
+    def test_non_finite_values_rejected(self, basis, coeffs, lambda_max):
+        # an infinite lambda_max would make filter_apply return h(-I) f whatever L is
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            FilterCoeffs(basis, coeffs, lambda_max)
+
 
 class TestPooling:
     def test_constant_round_trip(self):

@@ -300,13 +300,23 @@ class TestAnalysisSynthesis:
         with pytest.raises((IllPosedAnalysisError, InvalidArgumentError)):
             AnalysisPlan(s, 5)  # 36 coefficients from 12 pixels
 
-    def test_dense_plan_memory_cliff_rejected(self):
-        s = equiangular_sampling(256)  # n = 262144; the real basis alone is ~137 GB
-        need = 8 * (2**34 + 2**32)  # the basis (n m doubles) and one m x m array, m = 2^16
+    @pytest.mark.parametrize("make, need, figure", [
+        # m = 2^16: one m x m array (32 GiB), the ring basis's Legendre table
+        # (512 rings x m), padded trig table (512 x 512 slots x 511) and two
+        # pixel maps
+        pytest.param(lambda: equiangular_sampling(256),
+                     8 * (2**32 + 512 * 2**16 + 512 * 512 * 511 + 2 * 2**18), "33.3",
+                     id="equiangular-256"),
+        # the dense basis (n m doubles) and one m x m array
+        pytest.param(lambda: random_uniform_sampling(2**18, 0), 8 * (2**34 + 2**32), "160.0",
+                     id="random-262144"),
+    ])
+    def test_dense_plan_memory_cliff_rejected(self, make, need, figure):
+        s = make()  # n = 262144, lmax 255
         if _physical_memory_bytes() >= need:
             pytest.skip("the plan fits in this machine's memory")
         start = time.perf_counter()
-        with pytest.raises(InvalidArgumentError, match="needs about 160.0 GiB"):
+        with pytest.raises(InvalidArgumentError, match=f"needs about {figure} GiB"):
             AnalysisPlan(s, 255)
         assert time.perf_counter() - start < 0.5
 
@@ -333,17 +343,33 @@ class TestAnalysisSynthesis:
         lambda: equiangular_sampling(24),
     ], ids=["healpix-ring", "healpix-nested", "equiangular"])
     def test_ring_plan_drops_the_dense_basis(self, make):
-        # a ring plan keeps R^-1 and its ring tables, and no n x m array
+        # a ring plan keeps R^-1 and its ring tables, and holds no n x m
+        # array while it is built either
         s, lmax = make(), 23
         n_m_bytes = 8 * s.n * (lmax + 1) ** 2
         tracemalloc.start()
         try:
             plan = AnalysisPlan(s, lmax)
-            held, _ = tracemalloc.get_traced_memory()
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert not isinstance(plan._basis, harmonics._DenseBasis)
         assert held - plan._r_inv.nbytes < 0.5 * n_m_bytes
+        assert peak - plan._r_inv.nbytes < 0.5 * n_m_bytes
+
+    @pytest.mark.parametrize("make", [
+        lambda: healpix_sampling(8),
+        lambda: equiangular_sampling(12),
+        lambda: icosahedral_sampling(3),
+        lambda: random_uniform_sampling(400, 1),
+    ], ids=["healpix", "equiangular", "icosahedral", "random"])
+    def test_inverse_factor_is_upper_triangular(self, make):
+        # solve multiplies by the whole array, so its strict lower triangle must be zero
+        s = make()
+        plan = AnalysisPlan(s, reliable_band(s) // 2)
+        dense = s.scheme in ("icosahedral", "random")
+        assert isinstance(plan._basis, harmonics._DenseBasis) == dense
+        assert not np.any(np.tril(plan._r_inv, -1))
 
     def test_failed_factor_inversion_raises(self, monkeypatch):
         monkeypatch.setattr(sla.lapack, "dtrtri", lambda c, lower, overwrite_c: (c, 3))
@@ -419,6 +445,15 @@ class TestRingBasis:
         close(plan.adjoint(values[:, 0]), basis.T @ values[:, 0])
         for lo, hi in [(0, lmax), (0, min(lmax, 3)), (lmax, lmax)] + [(l, l) for l in range(lmax)]:
             close(plan.columns(lo, hi), basis[:, lo * lo:(hi + 1) ** 2])
+
+    @pytest.mark.parametrize("make, part", _ring_cases())
+    def test_gram_matches_dsyrk(self, make, part):
+        s = make()
+        lmax = reliable_band(s) if part == "band" else reliable_band(s) // 2
+        gram = harmonics._RingBasis(s, lmax).gram()
+        want = sla.blas.dsyrk(1.0, evaluate_basis(s, lmax).T, lower=0)
+        assert np.abs(gram - want).max() <= 1e-13 * np.abs(want).max()
+        assert not np.any(np.tril(gram, -1))
 
     @pytest.mark.parametrize("make", [
         lambda: healpix_sampling(8, "ring"),

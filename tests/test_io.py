@@ -59,6 +59,18 @@ class TestReadSparseCsv:
         with pytest.raises(InvalidArgumentError):
             read_sparse_csv(path)
 
+    @pytest.mark.parametrize("rows", [["0,1,1.0", "0,1,2.0"], ["0,1,1.0", "2,0,5.0", "0,1,0.0"]],
+                             ids=["adjacent", "apart"])
+    def test_repeated_entry_rejected(self, tmp_path, rows):
+        # the COO to CSR conversion would sum the repeats into one entry
+        path = write(tmp_path / "m.csv", f"3,{len(rows)}\n" + "\n".join(rows) + "\n")
+        with pytest.raises(InvalidArgumentError, match="m.csv: repeated"):
+            read_sparse_csv(path)
+
+    def test_explicit_zero_kept(self, tmp_path):
+        path = write(tmp_path / "m.csv", "3,2\n0,1,0.0\n1,0,0.0\n")
+        assert read_sparse_csv(path).nnz == 2
+
 
 COEFF_ROWS = ["0,0,1.5,0", "1,-1,0.5,0.25", "1,0,2,0", "1,1,-0.5,0.25"]
 
@@ -97,6 +109,14 @@ class TestReadFilterCsv:
     def test_alpha_count_must_be_order_plus_one(self, tmp_path, row):
         path = write(tmp_path / "h.csv", f"basis,P,lambda_max\n{row}\n")
         with pytest.raises(InvalidArgumentError):
+            read_filter_csv(path)
+
+    @pytest.mark.parametrize("row", ["chebyshev,1,inf,1.0,2.0", "chebyshev,1,nan,1.0,2.0",
+                                     "monomial,1,inf,1.0,2.0", "monomial,1,,1.0,nan",
+                                     "chebyshev,1,4.0,-inf,2.0"])
+    def test_non_finite_value_rejected(self, tmp_path, row):
+        path = write(tmp_path / "h.csv", f"basis,P,lambda_max\n{row}\n")
+        with pytest.raises(InvalidArgumentError, match="finite"):
             read_filter_csv(path)
 
 
@@ -247,8 +267,8 @@ def _writer_args(name, n, values, period):
         return (v,)
     if name == "signal":
         return (w,)
-    if name == "filter":
-        return (FilterCoeffs("chebyshev", np.resize(v, max(n, 1)), 5e-324),)
+    if name == "filter":  # a filter holds finite values only
+        return (FilterCoeffs("chebyshev", np.resize(v[np.isfinite(v)], max(n, 1)), 5e-324),)
     if name == "sweep":
         return ([SweepRow("healpix-ring", int(a), 8, "gaussian", float(x), 3, float(y),
                           float(x), 100) for a, x, y in zip(ints, v, w)],)

@@ -184,7 +184,7 @@ def heuristic_kernel_width(s: Sampling, k: int, kind: str = "half-mean-square") 
 
 
 # Relative accuracy and safety inflation of largest_eigenvalue, and the
-# iteration cap of its Lanczos run.
+# step cap of its first Lanczos pass.
 _EIG_TOL = 1e-6
 _EIG_MAX_ITER = 20000
 
@@ -192,50 +192,102 @@ _EIG_MAX_ITER = 20000
 def largest_eigenvalue(L) -> float:
     """Largest eigenvalue of a symmetric PSD matrix (sparse or dense), upper-biased.
 
-    Matrices up to 32 rows are solved densely. Larger ones get one Lanczos
-    run (ARPACK, one wanted eigenvalue, deterministic start vector) for the
-    top Ritz pair (theta, x) with residual r = L x - theta x. Some eigenvalue
-    of L lies within |r| of theta; Lanczos from a start vector that is not
-    orthogonal to the top eigenvector converges to the top of the spectrum
-    first, so that eigenvalue is the largest one and theta + |r| bounds it.
-    The result is that bound times (1 + 1e-6), which Chebyshev scaling can
-    trust.
+    Matrices up to 32 rows are solved densely. Larger ones get a two-pass
+    Lanczos run from a deterministic start vector. Pass 1 runs the
+    three-term recurrence without reorthogonalization and keeps only the
+    tridiagonal T_j (alpha, beta). After each step it takes the top
+    eigenpair (theta, s) of T_j and stops once beta_j |s_j| <= tol * theta,
+    the Lanczos estimate of the Ritz residual, or once beta_j = 0 (an
+    invariant subspace). Pass 2 regenerates the same Lanczos vectors from
+    the stored alpha and beta and sums the Ritz vector x = sum_i s_i q_i,
+    so the basis is never stored: the run holds a few n-vectors.
 
-    ARPACK stops when |r| <= tol * max(eps^(2/3), |theta|). The eps^(2/3)
-    floor is absolute, so L is first multiplied by the exact power of two
-    that puts its largest |entry| in [0.5, 1). For a PSD matrix that entry
-    is on the diagonal and the top eigenvalue is at least 0.5, so the test
-    is relative, and the answer scales exactly with L (no underflowing
-    residual for tiny L, no overflowing one for huge L). A matrix whose
-    entries are all zero returns 0.
+    The result is certified from x itself: with theta' = x'Lx / x'x and
+    r = |L x - theta' x| / |x|, some eigenvalue of L lies within r of
+    theta'. That inclusion holds for any nonzero x, so the loss of
+    orthogonality that the recurrence suffers can only enlarge r and loosen
+    the bound, never break it. Lanczos from a start vector that is not
+    orthogonal to the top eigenvector finds the top of the spectrum first,
+    in floating point as in exact arithmetic (Paige 1976), so that
+    eigenvalue is the largest one and theta' + r bounds it. The result is
+    that bound times (1 + 1e-6), which Chebyshev scaling can trust.
 
-    Raises NumericalFailureError, with diagnostics, if ARPACK fails or does
-    not converge.
+    L is first multiplied by the exact power of two that puts its largest
+    |entry| in [0.5, 1). For a PSD matrix that entry is on the diagonal, so
+    the top eigenvalue is at least 0.5: the recurrence neither underflows
+    for tiny L nor overflows for huge L, and the answer scales exactly with
+    L. A matrix whose entries are all zero returns 0.
+
+    Raises InvalidArgumentError for a non-square or non-finite matrix, and
+    NumericalFailureError, with diagnostics, if pass 1 reaches its step cap.
     """
-    import scipy.sparse.linalg as spla
+    from scipy.linalg import eigh_tridiagonal
 
+    if sp.issparse(L):
+        L = sp.csr_matrix(L, dtype=np.float64, copy=True)
+        values = L.data
+    else:
+        L = values = np.asarray(L, dtype=np.float64)
+    if L.ndim != 2 or L.shape[0] != L.shape[1]:
+        raise InvalidArgumentError(f"largest_eigenvalue needs a square matrix, got shape {L.shape}")
+    if not np.isfinite(values).all():
+        raise InvalidArgumentError("largest_eigenvalue needs a finite matrix")
     n = L.shape[0]
     if n == 0:
         return 0.0
     if n <= 32:
-        dense = L.toarray() if sp.issparse(L) else np.asarray(L)
+        dense = L.toarray() if sp.issparse(L) else L
         return float(np.linalg.eigvalsh(dense).max()) * (1.0 + _EIG_TOL)
-    L = sp.csr_matrix(L, dtype=np.float64, copy=True)
+    L = sp.csr_matrix(L)
     amax = float(np.abs(L.data).max(initial=0.0))
     if amax == 0.0:
         return 0.0
     e = int(np.frexp(amax)[1])
     L.data = np.ldexp(L.data, -e)
-    v0 = np.cos(np.arange(n, dtype=np.float64) + 0.5)
+    q0 = np.cos(np.arange(n, dtype=np.float64) + 0.5)
+    q0 /= np.linalg.norm(q0)
     tol = 0.1 * _EIG_TOL
-    try:
-        vals, vecs = spla.eigsh(L, k=1, which="LA", tol=tol, v0=v0, maxiter=_EIG_MAX_ITER)
-    except spla.ArpackError as exc:
+
+    # Pass 1: alpha and beta only.
+    alpha, beta = np.empty(_EIG_MAX_ITER), np.empty(_EIG_MAX_ITER)
+    q_prev, q, b = np.zeros(n), q0, 0.0
+    for j in range(_EIG_MAX_ITER):
+        w = L @ q
+        w -= b * q_prev
+        a = float(q @ w)
+        w -= a * q
+        b = float(np.linalg.norm(w))
+        alpha[j], beta[j] = a, b
+        theta, s = eigh_tridiagonal(alpha[:j + 1], beta[:j], select="i",
+                                    select_range=(j, j), check_finite=False)
+        theta, s = float(theta[0]), s[:, 0]
+        estimate = b * abs(s[j])
+        if estimate <= tol * theta or b == 0.0:
+            break
+        w *= 1.0 / b
+        q_prev, q = q, w
+    else:
         raise NumericalFailureError(
-            "Lanczos iteration for the largest eigenvalue failed",
+            "Lanczos iteration for the largest eigenvalue did not converge",
             {"n": n, "nnz": L.nnz, "scale_exponent": e, "tolerance": tol,
-             "max_iter": _EIG_MAX_ITER, "arpack": str(exc)},
-        ) from exc
-    theta, x = float(vals[0]), vecs[:, 0]
-    res = float(np.linalg.norm(L @ x - theta * x))
+             "steps": _EIG_MAX_ITER, "ritz_value": theta, "residual_estimate": estimate},
+        )
+
+    # Pass 2: the same vectors again, with the same arithmetic, summed into x.
+    x = s[0] * q0
+    q_prev, q, b = np.zeros(n), q0, 0.0
+    for i in range(j):
+        w = L @ q
+        w -= b * q_prev
+        w -= alpha[i] * q
+        b = beta[i]
+        w *= 1.0 / b
+        q_prev, q = q, w
+        x += s[i + 1] * q
+
+    lx = L @ x
+    xx = float(x @ x)
+    theta = float(x @ lx) / xx
+    lx -= theta * x
+    res = float(np.linalg.norm(lx)) / np.sqrt(xx)
     return float(np.ldexp((theta + res) * (1.0 + _EIG_TOL), e))

@@ -278,11 +278,30 @@ class TestLargestEigenvalue:
         (lambda: equiangular_sampling(8), 20, "inverse-distance"),
         (lambda: random_uniform_sampling(300, seed=0), 40, "gaussian"),
         (lambda: healpix_sampling(4, "nested"), 8, "gaussian"),
-    ], ids=["healpix-ring-2", "icosahedral-2", "equiangular-8", "random-300", "healpix-nested-4"])
+        (lambda: healpix_sampling(8), 40, "gaussian"),
+        (lambda: healpix_sampling(16), 40, "gaussian"),
+    ], ids=["healpix-ring-2", "icosahedral-2", "equiangular-8", "random-300", "healpix-nested-4",
+            "healpix-ring-8-k40", "healpix-ring-16-k40"])
     def test_dense_oracle(self, sampling, k, kind):
         s = sampling()
         w = WeightScheme(kind, heuristic_kernel_width(s, k) if kind == "gaussian" else None)
         lap = laplacian(build_graph(s, k, w))
+        lam = largest_eigenvalue(lap)
+        dense = np.linalg.eigvalsh(lap.toarray()).max()
+        assert abs(lam - dense) < 1e-5 * dense
+        assert lam >= dense
+
+    @pytest.mark.parametrize("matrix", [
+        lambda: 3.0 * sp.identity(40, format="csr"),
+        lambda: sp.diags(np.linspace(0.5, 7.0, 40)).tocsr(),
+        lambda: sp.block_diag([
+            laplacian(build_graph(healpix_sampling(2), 8, WeightScheme("inverse-distance"))),
+            laplacian(build_graph(icosahedral_sampling(1), 6, WeightScheme("inverse-distance"))),
+        ]).tocsr(),
+    ], ids=["scaled-identity", "distinct-diagonal", "two-components"])
+    def test_exact_breakdown(self, matrix):
+        # Krylov spaces that close within n steps (beta = 0 in exact arithmetic)
+        lap = matrix()
         lam = largest_eigenvalue(lap)
         dense = np.linalg.eigvalsh(lap.toarray()).max()
         assert abs(lam - dense) < 1e-5 * dense
@@ -305,16 +324,28 @@ class TestLargestEigenvalue:
         assert largest_eigenvalue(zero) == 0.0
 
     def test_no_convergence_raises(self, monkeypatch):
-        import scipy.sparse.linalg as spla
-
-        def no_convergence(*args, **kwargs):
-            raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((40, 0)))
-
-        monkeypatch.setattr(spla, "eigsh", no_convergence)
+        monkeypatch.setattr(graphs, "_EIG_MAX_ITER", 3)
+        lap = laplacian(build_graph(healpix_sampling(4), 8, WeightScheme("inverse-distance")))
         with pytest.raises(NumericalFailureError) as info:
-            largest_eigenvalue(laplacian(build_graph(
-                healpix_sampling(2), 8, WeightScheme("inverse-distance"))))
-        assert "no convergence" in info.value.diagnostics["arpack"]
+            largest_eigenvalue(lap)
+        diag = info.value.diagnostics
+        assert (diag["n"], diag["nnz"], diag["steps"]) == (192, lap.nnz, 3)
+        assert diag["scale_exponent"] == int(np.frexp(abs(lap.data).max())[1])
+        assert diag["residual_estimate"] > diag["tolerance"] * diag["ritz_value"] > 0
+
+    @pytest.mark.parametrize("matrix", [
+        lambda: np.ones((10, 11)),
+        lambda: sp.csr_matrix((40, 41)),
+        lambda: np.ones(40),
+        lambda: np.where(np.eye(10) > 0, np.nan, 0.0),
+        lambda: sp.csr_matrix(np.where(np.eye(10) > 0, np.inf, 0.0)),
+        lambda: sp.diags(np.r_[np.ones(39), np.nan]).tocsr(),
+        lambda: np.diag(np.r_[np.ones(39), -np.inf]),
+    ], ids=["non-square-dense", "non-square-csr", "vector", "nan-dense-10", "inf-csr-10",
+            "nan-csr-40", "inf-dense-40"])
+    def test_invalid_matrix_rejected(self, matrix):
+        with pytest.raises(InvalidArgumentError):
+            largest_eigenvalue(matrix())
 
 
 class TestGaussianGraphFamily:

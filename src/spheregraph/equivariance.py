@@ -28,6 +28,7 @@ from .graphs import WEIGHT_KINDS, GaussianGraphFamily, WeightScheme, build_graph
 from .harmonics import (
     AnalysisPlan,
     Rotation,
+    _sampled_basis,
     degree_slice,
     draw_real_degree,
     evaluate_basis,
@@ -420,14 +421,14 @@ def extended_equivariance_check(s: Sampling, t: float, l: int, g: Rotation,
 
     f is a random degree-l harmonic combination; R(g) f is evaluated
     analytically by rotating its coefficients. Both sides use the scaled
-    operator.
+    operator. Only the probe points, which are no sampling, evaluate the basis directly.
     """
     probes = np.atleast_2d(np.asarray(probes, dtype=np.float64))
     rng = np.random.default_rng(seed)
     block = draw_real_degree(l, rng)
 
     sl = degree_slice(l)
-    basis_pix = evaluate_basis(s, l)[:, sl]
+    basis_pix = _sampled_basis(s, l).columns(l, l)
     f_pix = basis_pix @ block
 
     rot_block = wigner_D_blocks(l, [g])[l][0] @ block

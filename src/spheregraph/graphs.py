@@ -192,8 +192,7 @@ _EIG_MAX_ITER = 20000
 def largest_eigenvalue(L) -> float:
     """Largest eigenvalue of a symmetric PSD matrix (sparse or dense), upper-biased.
 
-    Matrices up to 32 rows are solved densely. Larger ones get a two-pass
-    Lanczos run from a deterministic start vector. Pass 1 runs the
+    A two-pass Lanczos run from a deterministic start vector. Pass 1 runs the
     three-term recurrence without reorthogonalization and keeps only the
     tridiagonal T_j (alpha, beta). After each step it takes the top
     eigenpair (theta, s) of T_j and stops once beta_j |s_j| <= tol * theta,
@@ -235,9 +234,6 @@ def largest_eigenvalue(L) -> float:
     n = L.shape[0]
     if n == 0:
         return 0.0
-    if n <= 32:
-        dense = L.toarray() if sp.issparse(L) else L
-        return float(np.linalg.eigvalsh(dense).max()) * (1.0 + _EIG_TOL)
     L = sp.csr_matrix(L)
     amax = float(np.abs(L.data).max(initial=0.0))
     if amax == 0.0:

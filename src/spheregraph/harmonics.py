@@ -25,7 +25,8 @@ lie on iso-latitude rings (HEALPix ring and nested, equiangular) it keeps B
 factored into per-ring Legendre values and per-pixel cos m phi / sin m phi
 (_RingBasis), synthesizes ring by ring and forms G one degree's block column
 at a time, never holding an n x (lmax+1)^2 array; other samplings keep that
-dense array (_DenseBasis) and form G from it with one dsyrk.
+dense array (_DenseBasis) and form G from it with one dsyrk. _sampled_basis
+makes that choice and the memory check for every user of B on a sampling.
 """
 
 from __future__ import annotations
@@ -523,7 +524,7 @@ class _RingBasis:
         l, m, _ = _row_map(lo, hi)
         lam = np.ascontiguousarray(self._lam[np.abs(m), :, l].T)  # (rings, columns)
         out = lam[self._ring]
-        out *= self._trig.reshape(-1, self._trig.shape[2])[self._slot][:, self._trig_column(m)]
+        out *= self._trig.reshape(-1, self._trig.shape[2])[np.ix_(self._slot, self._trig_column(m))]
         return out
 
     def _trig_column(self, m: np.ndarray) -> np.ndarray:
@@ -531,17 +532,28 @@ class _RingBasis:
         return np.where(m >= 0, m, self.lmax - m)
 
 
+def _sampled_basis(s: Sampling, lmax: int, extra_bytes: int = 0):
+    """B on a sampling, ring-factored where the scheme has rings and dense
+    elsewhere; InvalidArgumentError, before anything large is allocated, when
+    it and extra_bytes more would exceed physical memory."""
+    basis_class = _DenseBasis if _ring_count(s) is None else _RingBasis
+    need = basis_class.nbytes(s, lmax) + extra_bytes
+    memory = _physical_memory_bytes()
+    if need > memory:
+        raise InvalidArgumentError(
+            f"the basis at n={s.n}, lmax={lmax} with its work arrays needs about "
+            f"{need / 2**30:.1f} GiB, more than this machine's {memory / 2**30:.1f} GiB")
+    return basis_class(s, lmax)
+
+
 class AnalysisPlan:
     """Factorized least-squares analysis for one (sampling, lmax) pair.
 
     Holds the real basis B and the inverse R^-1 of the upper Cholesky factor
     of G + ridge*I = R^T R, where G = B^T B and the ridge is 1e-12 relative
-    to the mean Gram diagonal. The scheme picks how B is kept, and the basis
-    forms the upper triangle of G in its own way: HEALPix (ring and nested)
-    and equiangular samplings keep B ring-factored (_RingBasis), evaluate the
-    basis only at one point per ring and form G one degree's block column at
-    a time; other samplings keep the dense array (_DenseBasis) and form G
-    with one dsyrk. One m x m array then holds G, R and R^-1; G is not kept.
+    to the mean Gram diagonal. B is kept as _sampled_basis chooses, and it
+    forms the upper triangle of G in its own way (by rings, or one dsyrk).
+    One m x m array then holds G, R and R^-1; G is not kept.
     The condition estimate is read from R's diagonal before it is inverted.
     Callers reach B only through synthesize (B u), adjoint (B^T x) and
     columns (B's columns of a degree range). Tables in and out are
@@ -556,19 +568,10 @@ class AnalysisPlan:
             raise InvalidArgumentError(
                 f"analysis needs (lmax+1)^2 <= n: {ncoef} > {s.n}"
             )
-        basis_class = _DenseBasis if _ring_count(s) is None else _RingBasis
-        # doubles: what the basis holds, and one m*m array that holds G, then
-        # R, then R^-1
-        need = basis_class.nbytes(s, lmax) + 8 * ncoef * ncoef
-        memory = _physical_memory_bytes()
-        if need > memory:
-            raise InvalidArgumentError(
-                f"an analysis plan for n={s.n}, lmax={lmax} needs about {need / 2**30:.1f} GiB, "
-                f"more than this machine's {memory / 2**30:.1f} GiB"
-            )
+        # beside the basis: one m*m array that holds G, then R, then R^-1
+        self._basis = _sampled_basis(s, lmax, extra_bytes=8 * ncoef * ncoef)
         self.sampling = s
         self.lmax = lmax
-        self._basis = basis_class(s, lmax)
         # the upper triangle of G; its strict lower triangle stays zero from
         # here to R^-1, which solve multiplies by whole
         gram = self._basis.gram()
@@ -614,14 +617,23 @@ class AnalysisPlan:
         return self._r_inv @ (self._r_inv.T @ rhs)
 
 
+def _checked_plan(plan: AnalysisPlan, s: Sampling, lmax: int) -> AnalysisPlan:
+    """plan, if it was built for this very sampling object and band."""
+    if plan.sampling is not s or plan.lmax != lmax:
+        raise InvalidArgumentError(
+            f"the plan was built for another sampling or band (plan lmax {plan.lmax}, "
+            f"lmax {lmax}); pass the Sampling object the plan was built from"
+        )
+    return plan
+
+
 def analysis(s: Sampling, signal: np.ndarray, lmax: int,
              plan: Optional[AnalysisPlan] = None) -> HarmonicCoeffs:
     """Band-limited coefficients of sampled values by regularized least squares."""
     signal = np.asarray(signal)
     if signal.shape != (s.n,):
         raise InvalidArgumentError(f"signal must have shape ({s.n},)")
-    if plan is None:
-        plan = AnalysisPlan(s, lmax)
+    plan = AnalysisPlan(s, lmax) if plan is None else _checked_plan(plan, s, lmax)
     return HarmonicCoeffs.from_real(lmax, plan.analyze_table(signal))
 
 
@@ -633,8 +645,9 @@ def synthesis(s: Sampling, coeffs: HarmonicCoeffs,
         raise InvalidArgumentError(
             "coefficients are not conjugate-symmetric; synthesis would be complex"
         )
-    table = coeffs.real_values().real
-    return plan.synthesize(table) if plan is not None else evaluate_basis(s, coeffs.lmax) @ table
+    basis = (_sampled_basis(s, coeffs.lmax) if plan is None
+             else _checked_plan(plan, s, coeffs.lmax))
+    return basis.synthesize(coeffs.real_values().real)
 
 
 class RotationOperator:
@@ -645,7 +658,7 @@ class RotationOperator:
         self.sampling = s
         self.rotation = g
         self.lmax = lmax
-        self.plan = plan if plan is not None else AnalysisPlan(s, lmax)
+        self.plan = AnalysisPlan(s, lmax) if plan is None else _checked_plan(plan, s, lmax)
         self.blocks = wigner_D_blocks(lmax, [g])
 
     def apply(self, f: np.ndarray) -> np.ndarray:
@@ -709,7 +722,7 @@ def random_degree_signal(s: Sampling, l: int, seed) -> np.ndarray:
             f"degree {l} outside the reliable band [0, {reliable_band(s)}] of {s.scheme}"
         )
     block = draw_real_degree(l, _as_rng(seed))
-    return evaluate_basis(s, l)[:, degree_slice(l)] @ block
+    return _sampled_basis(s, l).columns(l, l) @ block
 
 
 # ---------------------------------------------------------------------------

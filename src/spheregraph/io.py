@@ -138,11 +138,12 @@ def write_sampling_csv(s: Sampling, path, comments: Optional[Sequence[str]] = No
 
 
 def write_sparse_csv(matrix, path, comments: Optional[Sequence[str]] = None) -> None:
-    """Coordinate-format export: one `n,nnz` header line, then `row,col,value` rows."""
+    """Coordinate-format export: one `n,nnz` header line, then row-major `row,col,value`
+    rows, repeated (row, col) entries summed as scipy does and explicit zeros kept."""
     coo = sp.coo_matrix(matrix)
-    order = np.lexsort((coo.col, coo.row))
+    coo.sum_duplicates()  # sorts row-major into new arrays; the caller's matrix stays
     _write_table(path, comments, f"{coo.shape[0]},{coo.nnz}", "%d,%d,%.17g",
-                 (c[order] for c in (coo.row, coo.col, coo.data)))  # one sorted copy at a time
+                 [coo.row, coo.col, coo.data])
 
 
 def read_sparse_csv(path):

@@ -280,8 +280,9 @@ class TestLargestEigenvalue:
         (lambda: healpix_sampling(4, "nested"), 8, "gaussian"),
         (lambda: healpix_sampling(8), 40, "gaussian"),
         (lambda: healpix_sampling(16), 40, "gaussian"),
+        (lambda: healpix_sampling(1), 8, "gaussian"),
     ], ids=["healpix-ring-2", "icosahedral-2", "equiangular-8", "random-300", "healpix-nested-4",
-            "healpix-ring-8-k40", "healpix-ring-16-k40"])
+            "healpix-ring-8-k40", "healpix-ring-16-k40", "healpix-ring-1"])
     def test_dense_oracle(self, sampling, k, kind):
         s = sampling()
         w = WeightScheme(kind, heuristic_kernel_width(s, k) if kind == "gaussian" else None)
@@ -294,16 +295,21 @@ class TestLargestEigenvalue:
     @pytest.mark.parametrize("matrix", [
         lambda: 3.0 * sp.identity(40, format="csr"),
         lambda: sp.diags(np.linspace(0.5, 7.0, 40)).tocsr(),
+        lambda: np.array([[2.0]]),
+        lambda: 3.0 * np.eye(3),
+        lambda: sp.diags(np.arange(1.0, 33.0)).tocsr(),
         lambda: sp.block_diag([
             laplacian(build_graph(healpix_sampling(2), 8, WeightScheme("inverse-distance"))),
             laplacian(build_graph(icosahedral_sampling(1), 6, WeightScheme("inverse-distance"))),
         ]).tocsr(),
-    ], ids=["scaled-identity", "distinct-diagonal", "two-components"])
+    ], ids=["scaled-identity", "distinct-diagonal", "one-by-one", "scaled-identity-3",
+            "distinct-diagonal-32", "two-components"])
     def test_exact_breakdown(self, matrix):
-        # Krylov spaces that close within n steps (beta = 0 in exact arithmetic)
+        # Krylov spaces that close within n steps (beta = 0 in exact arithmetic);
+        # small matrices take the same Lanczos route as large ones
         lap = matrix()
         lam = largest_eigenvalue(lap)
-        dense = np.linalg.eigvalsh(lap.toarray()).max()
+        dense = np.linalg.eigvalsh(lap.toarray() if sp.issparse(lap) else lap).max()
         assert abs(lam - dense) < 1e-5 * dense
         assert lam >= dense
 
@@ -319,7 +325,8 @@ class TestLargestEigenvalue:
         sp.csr_matrix((40, 40)),
         np.zeros((40, 40)),
         sp.csr_matrix((np.zeros(40), np.arange(40), np.arange(41)), shape=(40, 40)),
-    ], ids=["empty-csr", "dense", "explicit-zero-csr"])
+        np.zeros((5, 5)),
+    ], ids=["empty-csr", "dense", "explicit-zero-csr", "dense-5"])
     def test_zero_matrix(self, zero):
         assert largest_eigenvalue(zero) == 0.0
 

@@ -8,6 +8,7 @@ from scipy.special import sph_harm_y
 from scipy.stats import kstest
 
 from spheregraph import harmonics
+from spheregraph.equivariance import extended_equivariance_check
 from spheregraph.errors import IllPosedAnalysisError, InvalidArgumentError, NumericalFailureError
 from spheregraph.harmonics import (
     _RIDGE_REL,
@@ -320,6 +321,27 @@ class TestAnalysisSynthesis:
             AnalysisPlan(s, 255)
         assert time.perf_counter() - start < 0.5
 
+    def test_dense_synthesis_memory_cliff_rejected(self):
+        # synthesis without a plan checks the basis it would hold, as a plan does
+        s, lmax = random_uniform_sampling(2**18, 0), 255
+        if _physical_memory_bytes() >= 8 * s.n * (lmax + 1) ** 2:
+            pytest.skip("the dense basis fits in this machine's memory")
+        coeffs = HarmonicCoeffs(lmax, np.zeros((lmax + 1) ** 2))
+        start = time.perf_counter()
+        with pytest.raises(InvalidArgumentError, match="needs about 128.0 GiB"):
+            synthesis(s, coeffs)
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("call", [
+        lambda s, plan: synthesis(s, random_coeffs(3, 0), plan),
+        lambda s, plan: RotationOperator(s, random_rotation(0), 3, plan=plan),
+        lambda s, plan: analysis(healpix_sampling(4, "nested"), np.ones(s.n), 5, plan=plan),
+    ], ids=["synthesis-other-band", "rotation-other-band", "analysis-other-sampling"])
+    def test_plan_for_another_sampling_or_band_rejected(self, call):
+        s = healpix_sampling(4, "ring")
+        with pytest.raises(InvalidArgumentError, match="another sampling or band"):
+            call(s, AnalysisPlan(s, 5))
+
     def test_gram_factored_without_extra_copy(self, monkeypatch):
         # beyond the inverse factor it keeps, building a plan may hold less
         # than one more m x m matrix: G, its factor and the inverse are one
@@ -412,13 +434,15 @@ class TestAnalysisSynthesis:
             assert err.condition_estimate > 1e12
 
 
+RING_SAMPLINGS = ([(f"healpix-{order}-{nside}", lambda nside=nside, order=order:
+                    healpix_sampling(nside, order))
+                   for nside in (1, 2, 4, 8, 16) for order in ("ring", "nested")]
+                  + [(f"equiangular-{b}", lambda b=b: equiangular_sampling(b)) for b in range(1, 17)])
+
+
 def _ring_cases():
-    samplings = ([(f"healpix-{order}-{nside}", lambda nside=nside, order=order:
-                   healpix_sampling(nside, order))
-                  for nside in (1, 2, 4, 8, 16) for order in ("ring", "nested")]
-                 + [(f"equiangular-{b}", lambda b=b: equiangular_sampling(b)) for b in range(1, 17)])
     return [pytest.param(make, part, id=f"{name}-{part}")
-            for name, make in samplings for part in ("band", "half-band")]
+            for name, make in RING_SAMPLINGS for part in ("band", "half-band")]
 
 
 class TestRingBasis:
@@ -474,8 +498,48 @@ class TestRingBasis:
     def test_scheme_points_off_the_rings_rejected(self):
         s = healpix_sampling(2)
         moved = Sampling(random_uniform_sampling(s.n, 0).points, s.scheme, s.resolution)
-        with pytest.raises(InvalidArgumentError, match="not the scheme's 7 rings"):
-            AnalysisPlan(moved, 2)
+        for call in (lambda: AnalysisPlan(moved, 2), lambda: synthesis(moved, random_coeffs(2, 0)),
+                     lambda: random_degree_signal(moved, 2, 0)):
+            with pytest.raises(InvalidArgumentError, match="not the scheme's 7 rings"):
+                call()
+
+    @pytest.mark.parametrize("make", [pytest.param(make, id=name) for name, make in RING_SAMPLINGS])
+    def test_sampled_consumers_match_dense_basis(self, make, monkeypatch):
+        # synthesis, degree-l signals and the extended check's pixel columns
+        # take the plan's ring route and never evaluate the basis at every pixel
+        s = make()
+        lmax = reliable_band(s)
+        basis = evaluate_basis(s, lmax)
+
+        def close(got, want):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+        evaluated = []
+        dense = harmonics.evaluate_basis
+        monkeypatch.setattr(harmonics, "evaluate_basis",
+                            lambda x, l: evaluated.append(isinstance(x, Sampling)) or dense(x, l))
+        coeffs = random_coeffs(lmax, lmax)
+        close(synthesis(s, coeffs), basis @ coeffs.real_values().real)
+        for l in range(lmax + 1):
+            columns = basis[:, degree_slice(l)]
+            block = draw_real_degree(l, np.random.default_rng(l))
+            close(random_degree_signal(s, l, l), columns @ block)
+            close(harmonics._sampled_basis(s, l).columns(l, l), columns)
+        probes = np.eye(3)
+        extended_equivariance_check(s, 0.5, lmax, random_rotation(1), probes)
+        assert evaluated and not any(evaluated)
+
+    def test_synthesis_holds_no_dense_basis(self):
+        s, lmax = healpix_sampling(32), 95
+        coeffs = random_coeffs(lmax, 4)
+        tracemalloc.start()
+        try:
+            synthesis(s, coeffs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * 8 * s.n * (lmax + 1) ** 2
 
 
 class TestRotations:

@@ -71,6 +71,18 @@ class TestReadSparseCsv:
         path = write(tmp_path / "m.csv", "3,2\n0,1,0.0\n1,0,0.0\n")
         assert read_sparse_csv(path).nnz == 2
 
+    def test_writer_sums_repeated_entries(self, tmp_path):
+        # a COO matrix may repeat (row, col); scipy sums the repeats, and so
+        # does the writer, so that the reader accepts what it wrote
+        coo = sp.coo_matrix(([1.0, 2.0, 0.0, 4.0], ([2, 0, 1, 0], [0, 1, 1, 1])), shape=(3, 3))
+        path = tmp_path / "m.csv"
+        io.write_sparse_csv(coo, path)
+        assert path.read_text() == "3,3\n0,1,6\n1,1,0\n2,0,1\n"
+        back = read_sparse_csv(path)
+        assert back.nnz == 3  # the explicit zero is kept
+        np.testing.assert_array_equal(back.toarray(), coo.toarray())
+        assert coo.nnz == 4  # the caller's matrix is left as it was
+
 
 COEFF_ROWS = ["0,0,1.5,0", "1,-1,0.5,0.25", "1,0,2,0", "1,1,-0.5,0.25"]
 

@@ -117,7 +117,7 @@ def _input_signal(s, signal, degree, seed):
 @click.option("--seed", type=int, default=0, show_default=True, help="master random seed")
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None,
               help="output CSV path")
-@click.option("--threads", type=int, default=1, show_default=True,
+@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
               help="worker threads for sweep cells")
 @click.pass_context
 def main(ctx, seed, out, threads):

@@ -112,20 +112,24 @@ class _CellDraws:
     """Frozen random draws for one sweep cell, reusable across kernel widths.
 
     Signals are real-basis degree-l blocks; blocks holds the rotations' real
-    Wigner blocks up to degree lmax (harmonics.WignerBlocks), which forms its
-    block stacks only once the draws are reused.
+    Wigner blocks up to the plan's lmax (harmonics.WignerBlocks). What no
+    width changes is computed here once: the rotated signals (column
+    j * n_signals + i is rotation j of signal i) and |f|^2 of each signal.
     """
 
-    def __init__(self, s: Sampling, k: int, weight_kind: str, l: int,
-                 cfg: EquivarianceConfig, lmax: int):
-        sig_ss, rot_ss = _cell_seed(cfg.seed, s, k, weight_kind, l).spawn(2)
+    def __init__(self, plan: AnalysisPlan, k: int, weight_kind: str, l: int,
+                 cfg: EquivarianceConfig):
+        sig_ss, rot_ss = _cell_seed(cfg.seed, plan.sampling, k, weight_kind, l).spawn(2)
         sig_rng = np.random.default_rng(sig_ss)
         rot_rng = np.random.default_rng(rot_ss)
         self.signals = np.column_stack(
             [draw_real_degree(l, sig_rng) for _ in range(cfg.n_signals)]
         )  # (2l+1, n_signals)
         self.rotations = [random_rotation(rot_rng) for _ in range(cfg.n_rotations)]
-        self.blocks = wigner_D_blocks(lmax, self.rotations)
+        self.blocks = wigner_D_blocks(plan.lmax, self.rotations)
+        self.rotated = np.hstack(self.blocks[l] @ self.signals)
+        f = plan.columns(l, l) @ self.signals
+        self.f_norm2 = np.einsum("is,is->s", f, f)
 
 
 class SweepEngine:
@@ -147,7 +151,7 @@ class SweepEngine:
         self.plan = AnalysisPlan(s, lmax_analysis)
 
     def draws(self, k: int, weight_kind: str, l: int, cfg: EquivarianceConfig) -> _CellDraws:
-        return _CellDraws(self.sampling, k, weight_kind, l, cfg, self.lmax)
+        return _CellDraws(self.plan, k, weight_kind, l, cfg)
 
     def degree_ops(self, L, max_degree: int):
         """t-dependent matrices for signal degrees up to max_degree: M = L B_sig,
@@ -171,19 +175,15 @@ class SweepEngine:
         a = draws.signals  # (2l+1, n_signals)
         m_l = ops.m[:, sl]
         lf = m_l @ a  # L f in pixel values, (n, n_signals)
-        f = self.plan.columns(l, l) @ a
         lf_norm2 = np.einsum("is,is->s", lf, lf)
-        f_norm2 = np.einsum("is,is->s", f, f)
-        valid = lf_norm2 > (1e-12 * ops.linf) ** 2 * f_norm2
+        valid = lf_norm2 > (1e-12 * ops.linf) ** 2 * draws.f_norm2
 
         # column j * n_s + i holds rotation j applied to signal i
-        n_s = a.shape[1]
-        n_r = len(draws.rotations)
+        n_r, n_s = len(draws.rotations), a.shape[1]
         u_all = draws.blocks.apply(ops.ltil[:, sl] @ a).reshape(-1, n_r * n_s)
-        d_all = np.matmul(draws.blocks[l], a).transpose(1, 0, 2).reshape(-1, n_r * n_s)
 
         diff = self.plan.synthesize(u_all)  # R(g) L f
-        diff -= m_l @ d_all  # L R(g) f
+        diff -= m_l @ draws.rotated  # L R(g) f
         num2 = np.einsum("ij,ij->j", diff, diff)
 
         errs = num2.reshape(n_r, n_s) / lf_norm2[None, :]
@@ -272,8 +272,8 @@ def optimize_kernel_width(s: Sampling, k: int, degrees: Sequence[int],
     draws a warning: the minimum may lie outside. A caller that also needs
     t_h passes the GaussianGraphFamily(s, k) it built, so the kNN query runs
     once; a caller that goes on to use the draws passes the dict
-    {l: engine.draws(k, "gaussian", l, cfg)} it built, so they are drawn
-    once and their Wigner stacks are formed once.
+    {l: engine.draws(k, "gaussian", l, cfg)} it built, so they are drawn,
+    and their signals rotated and sampled, once.
     """
     return _search_kernel_width(s, k, degrees, cfg, engine, family, draws)[0]
 
@@ -369,8 +369,8 @@ def fit_power_law(pairs: Sequence) -> tuple:
     pairs = np.asarray(pairs, dtype=np.float64)
     if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] < 3:
         raise InvalidArgumentError("need at least 3 (n, t) pairs")
-    if np.any(pairs <= 0):
-        raise InvalidArgumentError("all (n, t) values must be positive")
+    if not np.all((pairs > 0) & np.isfinite(pairs)):
+        raise InvalidArgumentError("all (n, t) values must be positive and finite")
     if np.unique(pairs[:, 0]).size < 2:
         raise InvalidArgumentError("need at least 2 distinct n to fit a power law")
     pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]  # order-independent result
@@ -458,6 +458,8 @@ def equivariance_sweep(samplings: Sequence[Sampling], ks: Sequence[int],
     """
     if weight_kind not in _WEIGHT_IDS:
         raise InvalidArgumentError(f"unknown weight kind {weight_kind!r}")
+    if threads < 1:
+        raise InvalidArgumentError(f"threads must be >= 1, got {threads}")
     degrees = list(degrees)
     engines = {id(s): SweepEngine(s, _resolve_lmax(s, cfg)) for s in samplings}
 

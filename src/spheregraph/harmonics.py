@@ -143,8 +143,9 @@ class Rotation:
     gamma: float
 
     def __post_init__(self):
-        if not -1e-9 <= self.beta <= np.pi + 1e-9:
-            raise InvalidArgumentError(f"beta must lie in [0, pi], got {self.beta}")
+        if not (np.isfinite([self.alpha, self.gamma]).all() and -1e-9 <= self.beta <= np.pi + 1e-9):
+            raise InvalidArgumentError("alpha and gamma must be finite and beta must lie in "
+                                       f"[0, pi], got {self.alpha}, {self.beta}, {self.gamma}")
         object.__setattr__(self, "alpha", float(self.alpha) % (2.0 * np.pi))
         object.__setattr__(self, "beta", float(min(max(self.beta, 0.0), np.pi)))
         object.__setattr__(self, "gamma", float(self.gamma) % (2.0 * np.pi))
@@ -289,58 +290,47 @@ class WignerBlocks:
     """Real Wigner blocks U^H D^l(g) U of a set of rotations, l = 0..lmax.
 
     _rotate applies each D as its factors T(alpha) Q T(beta) Q^T T(gamma),
-    with Q from _jy_real_schur (Blanco, Florez & Bermejo 1997). blocks[l]
-    forms and caches the stack of degree l, shape (len(rotations), 2l+1,
-    2l+1), as _rotate of the degree-l identity. apply(table) runs _rotate on
-    the whole table the first time, forming no block; a second call means the
-    rotations are being reused (once per kernel width in a search), so from
-    then on it multiplies by the stacks.
+    with Q from _jy_real_schur (Blanco, Florez & Bermejo 1997); apply(table)
+    runs it on the whole table and forms no block. cos and sin of m times each
+    Euler angle are tabulated once for m = 0..lmax, so reusing the rotations
+    (once per kernel width in a search) redoes no trigonometry. blocks[l]
+    forms the stack of degree l, shape (len(rotations), 2l+1, 2l+1), as
+    _rotate of the degree-l identity, and keeps nothing.
     """
 
     def __init__(self, lmax: int, rotations: Sequence[Rotation]):
         self.lmax = lmax
-        self.alpha, self.beta, self.gamma = (np.array([getattr(g, name) for g in rotations])
-                                             for name in ("alpha", "beta", "gamma"))
-        self._stacks: dict = {}
-        self._applied = 0
+        self.n_rotations = len(rotations)
+        # m theta of shape (3, lmax+1, n_rot) for theta = gamma, beta, alpha, the order of the turns
+        euler = np.array([[g.gamma, g.beta, g.alpha] for g in rotations]).reshape(-1, 3).T
+        angle = np.arange(lmax + 1)[None, :, None] * euler[:, None, :]
+        self._cos, self._sin = np.cos(angle), np.sin(angle)
 
     def __getitem__(self, l: int) -> np.ndarray:
         if not 0 <= l <= self.lmax:
             raise IndexError(f"degree {l} outside 0..{self.lmax}")
-        got = self._stacks.get(l)
-        if got is None:
-            columns = self._rotate(np.eye(2 * l + 1)[:, None, :], l, l)  # (2l+1, n_rot, 2l+1)
-            got = self._stacks[l] = np.ascontiguousarray(columns.transpose(1, 0, 2))
-        return got
+        columns = self._rotate(np.eye(2 * l + 1)[:, None, :], l, l)  # (2l+1, n_rot, 2l+1)
+        return np.ascontiguousarray(columns.transpose(1, 0, 2))
 
     def apply(self, table: np.ndarray) -> np.ndarray:
         """Rotated copies of a table of shape ((lmax+1)^2, ...): out[:, r] is rotation r's."""
         table = np.asarray(table)
-        x = table.reshape(table.shape[0], 1, -1)
-        self._applied += 1
-        if self._applied == 1:
-            out = self._rotate(x, 0, self.lmax)
-        else:
-            out = np.empty(((self.lmax + 1) ** 2, self.alpha.size, x.shape[2]),
-                           np.result_type(x, 1.0))
-            for l in range(self.lmax + 1):
-                sl = degree_slice(l)
-                out[sl] = np.matmul(self[l], x[sl, 0]).transpose(1, 0, 2)
-        return out.reshape((table.shape[0], self.alpha.size) + table.shape[1:])
+        out = self._rotate(table.reshape(table.shape[0], 1, -1), 0, self.lmax)
+        return out.reshape((table.shape[0], self.n_rotations) + table.shape[1:])
 
     def _rotate(self, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """D x for each rotation, on rows of x spanning degrees lo..hi; x has
         shape (rows, 1 or n_rot, columns) and the result (rows, n_rot, columns)."""
-        x = self._by_q(self._turn(x, self.gamma, lo, hi), lo, hi, transpose=True)
-        return self._turn(self._by_q(self._turn(x, self.beta, lo, hi), lo, hi), self.alpha, lo, hi)
+        x = self._by_q(self._turn(x, 0, lo, hi), lo, hi, transpose=True)
+        return self._turn(self._by_q(self._turn(x, 1, lo, hi), lo, hi), 2, lo, hi)
 
-    @staticmethod
-    def _turn(x: np.ndarray, theta: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """T(theta_r) on rows of degrees lo..hi: x_m -> cos(m theta) x_m - sin(m theta) x_-m."""
+    def _turn(self, x: np.ndarray, angle: int, lo: int, hi: int) -> np.ndarray:
+        """T(theta_r) on rows of degrees lo..hi: x_m -> cos(m theta) x_m - sin(m theta) x_-m,
+        theta being the tables' angle number `angle` (0 gamma, 1 beta, 2 alpha)."""
         _, m, mirror = _row_map(lo, hi)
-        angle = np.multiply.outer(m, theta)[:, :, None]
-        out = x[mirror] * -np.sin(angle)
-        out += np.cos(angle) * x  # in place: one table-sized temporary fewer
+        order = np.abs(m)
+        out = x[mirror] * (self._sin[angle][order] * -np.sign(m)[:, None])[:, :, None]
+        out += self._cos[angle][order][:, :, None] * x  # in place: one table-sized temporary fewer
         return out
 
     @staticmethod

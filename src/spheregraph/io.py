@@ -138,10 +138,15 @@ def write_sampling_csv(s: Sampling, path, comments: Optional[Sequence[str]] = No
 
 
 def write_sparse_csv(matrix, path, comments: Optional[Sequence[str]] = None) -> None:
-    """Coordinate-format export: one `n,nnz` header line, then row-major `row,col,value`
-    rows, repeated (row, col) entries summed as scipy does and explicit zeros kept."""
-    coo = sp.coo_matrix(matrix)
-    coo.sum_duplicates()  # sorts row-major into new arrays; the caller's matrix stays
+    """Coordinate-format export of a square matrix: one `n,nnz` header line, then
+    row-major `row,col,value` rows, repeated (row, col) entries summed as scipy does
+    and explicit zeros kept; a canonical CSR matrix is written from its own arrays."""
+    canonical = sp.issparse(matrix) and matrix.format == "csr" and matrix.has_canonical_format
+    coo = matrix.tocoo() if canonical else sp.coo_matrix(matrix)
+    if coo.shape[0] != coo.shape[1]:
+        raise InvalidArgumentError(f"the matrix must be square, got shape {coo.shape}")
+    if not canonical:
+        coo.sum_duplicates()  # sorts row-major into new arrays; the caller's matrix stays
     _write_table(path, comments, f"{coo.shape[0]},{coo.nnz}", "%d,%d,%.17g",
                  [coo.row, coo.col, coo.data])
 
@@ -155,6 +160,8 @@ def read_sparse_csv(path):
         if first is None:
             raise InvalidArgumentError(f"{path}: no n,nnz line")
         n, nnz = _parse_row(path, *first, (int, int))
+        if n < 0:
+            raise InvalidArgumentError(f"{path}: matrix size n={n} is negative")
         ii, jj, data = _read_columns(path, fh, first[0] + 1, None, (int, int, float))
     if ii.size != nnz:
         raise InvalidArgumentError(f"{path}: header announces {nnz} entries, found {ii.size}")

@@ -200,6 +200,12 @@ class TestSweepCommands:
         assert "# indexing=nested" in header
         assert "# lmax_analysis=3" in header
 
+    def test_threads_below_one_rejected(self, runner):
+        result = runner.invoke(main, ["--threads", "0", "equiv-sweep", "--scheme", "healpix",
+                                      "--nside", "2", "--k", "4", "--degrees", "2"])
+        assert result.exit_code == 2
+        assert "--threads" in result.output
+
     def test_opt_t_needs_three_resolutions(self, runner):
         result = runner.invoke(main, ["opt-t", "--scheme", "healpix", "--nside", "2,4",
                                       "--k", "4"])

@@ -198,8 +198,8 @@ class TestMeanEquivarianceError:
     @pytest.mark.parametrize("make, k", [(lambda: healpix_sampling(4), 8),
                                          (lambda: healpix_sampling(8), 20)])
     def test_first_and_repeated_use_agree(self, make, k):
-        # the first cell_error on a draw set rotates through the Wigner
-        # factors, later ones through the formed block stacks
+        # every cell_error on a draw set rotates through the same Wigner
+        # factors, so reusing the draws repeats the result bit for bit
         s = make()
         engine = SweepEngine(s, reliable_band(s))
         lap = laplacian(build_graph(s, k, WeightScheme("gaussian", heuristic_kernel_width(s, k))))
@@ -207,9 +207,7 @@ class TestMeanEquivarianceError:
         draws = engine.draws(k, "gaussian", 5, EquivarianceConfig(seed=5))
         first = engine.cell_error(ops, draws, 5)
         again = engine.cell_error(ops, draws, 5)
-        assert again.samples == first.samples
-        assert again.mean == pytest.approx(first.mean, rel=1e-12)
-        assert again.std == pytest.approx(first.std, rel=1e-12)
+        assert again == first
 
     def test_samples_counted(self, hp4_setup):
         s, _ = hp4_setup
@@ -327,6 +325,29 @@ class TestOptimizeKernelWidth:
                                   EquivarianceConfig(2, 2, 0))
         assert len(rows) == 11 + 15
         assert len(calls) == len(rows)
+
+    def test_search_draws_hold_no_block_stacks(self):
+        # a search evaluates each draw set at 11-14 widths; the sets keep no
+        # (n_rot, 2l+1, 2l+1) stack of any degree between or after the widths
+        s, k, degrees = healpix_sampling(8), 8, [1, 2, 3]
+        cfg = EquivarianceConfig(seed=2)
+        engine = SweepEngine(s, reliable_band(s))
+        family = GaussianGraphFamily(s, k)
+        draws = {l: engine.draws(k, "gaussian", l, cfg) for l in degrees}
+        ops = engine.degree_ops(family.laplacian(family.heuristic_width()), max(degrees))
+        for l in degrees:  # first use: fills the per-degree caches the rotations read
+            engine.cell_error(ops, draws[l], l)
+        del ops
+        stack_bytes = 8 * cfg.n_rotations * sum((2 * lp + 1) ** 2
+                                                for lp in range(engine.lmax + 1))
+        tracemalloc.start()
+        try:
+            optimize_kernel_width(s, k, degrees, cfg, engine, family, draws)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a cache of formed stacks would hold len(degrees) * stack_bytes here
+        assert held < 0.25 * stack_bytes
 
     def test_edge_minimum_warns(self):
         # equiangular b = 4, k = 8: the error keeps falling up to 100 t_h
@@ -543,6 +564,13 @@ class TestFitPowerLaw:
         with pytest.raises(InvalidArgumentError, match="distinct n"):
             fit_power_law([(48.0, 0.3), (48.0, 0.2), (48.0, 0.25)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            fit_power_law([(1.0, bad), (2.0, 1.0), (3.0, 1.0)])
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            fit_power_law([(bad, 0.5), (2.0, 1.0), (3.0, 1.0)])
+
     def test_nonpositive_rejected(self):
         with pytest.raises(InvalidArgumentError):
             fit_power_law([(10.0, 1.0), (100.0, 0.5), (1000.0, -0.1)])
@@ -641,6 +669,13 @@ class TestSweepDriver:
         serial = equivariance_sweep(*args, threads=1)
         threaded = equivariance_sweep(*args, threads=4)
         assert serial == threaded
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_thread_count_below_one_rejected(self, threads):
+        cfg = EquivarianceConfig(2, 2, 7, None)
+        with pytest.raises(InvalidArgumentError, match="threads must be >= 1"):
+            equivariance_sweep([healpix_sampling(2)], [4], "gaussian", "heuristic", [2], cfg,
+                               threads=threads)
 
     def test_inverse_distance_rows(self):
         cfg = EquivarianceConfig(2, 2, 5, None)

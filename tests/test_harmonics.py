@@ -602,27 +602,35 @@ class TestRotations:
                                            atol=1e-12)
 
     def test_factored_apply_matches_formed_blocks(self):
-        # both routes against U^H D U from the complex Wigner-D, which is built
-        # without the factored kernel; the gimbal rotations cover beta = 0 and pi
+        # apply against U^H D U from the complex Wigner-D, which is built
+        # without the factored kernel; the gimbal rotations cover beta = 0 and
+        # pi. Reusing the rotations (as a kernel-width search does) takes the
+        # same route, so a second apply repeats the first bit for bit.
         lmax = 47
         rotations = random_and_gimbal_rotations()
         blocks = wigner_D_blocks(lmax, rotations)
         table = np.random.default_rng(6).standard_normal(((lmax + 1) ** 2, 3))
-        factored = blocks.apply(table)  # first use: through the factors
-        assert not blocks._stacks  # no block was formed
-        formed = blocks.apply(table)  # reuse: through the formed stacks
+        first = blocks.apply(table)
+        again = blocks.apply(table)
+        assert np.array_equal(again, first)
         for l in range(lmax + 1):
             sl = degree_slice(l)
             U = unitary(l)
             real_blocks = np.stack([(U.conj().T @ wigner_D_matrix(l, g) @ U).real
                                     for g in rotations])
             expected = np.matmul(real_blocks, table[sl]).transpose(1, 0, 2)
-            np.testing.assert_allclose(factored[sl], expected, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(formed[sl], expected, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(first[sl], expected, rtol=0, atol=1e-12)
 
     def test_inverse(self):
         g = random_rotation(9)
         np.testing.assert_allclose(g.compose(g.inverse()).matrix, np.eye(3), atol=1e-12)
+
+    @pytest.mark.parametrize("angles", [(np.nan, 1.0, 0.0), (0.0, 1.0, np.inf),
+                                        (-np.inf, 1.0, 0.0), (0.0, np.nan, 0.0)],
+                             ids=["alpha-nan", "gamma-inf", "alpha-minus-inf", "beta-nan"])
+    def test_non_finite_angles_rejected(self, angles):
+        with pytest.raises(InvalidArgumentError, match="must"):
+            Rotation(*angles)
 
     def test_gimbal_cases(self):
         for g in (Rotation(1.2, 0.0, 0.0), Rotation(0.7, np.pi, 0.0)):

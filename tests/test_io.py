@@ -67,6 +67,11 @@ class TestReadSparseCsv:
         with pytest.raises(InvalidArgumentError, match="m.csv: repeated"):
             read_sparse_csv(path)
 
+    def test_negative_size_rejected(self, tmp_path):
+        path = write(tmp_path / "m.csv", "-1,0\n")
+        with pytest.raises(InvalidArgumentError, match="m.csv: matrix size n=-1 is negative"):
+            read_sparse_csv(path)
+
     def test_explicit_zero_kept(self, tmp_path):
         path = write(tmp_path / "m.csv", "3,2\n0,1,0.0\n1,0,0.0\n")
         assert read_sparse_csv(path).nnz == 2
@@ -82,6 +87,34 @@ class TestReadSparseCsv:
         assert back.nnz == 3  # the explicit zero is kept
         np.testing.assert_array_equal(back.toarray(), coo.toarray())
         assert coo.nnz == 4  # the caller's matrix is left as it was
+
+    @pytest.mark.parametrize("make", [sp.coo_matrix, sp.csr_matrix, np.asarray],
+                             ids=["coo", "csr", "dense"])
+    def test_writer_rejects_non_square(self, tmp_path, make):
+        # the reader takes n x n matrices only, so the writer must not write a 2 x 3 one
+        path = tmp_path / "m.csv"
+        with pytest.raises(InvalidArgumentError, match=r"square, got shape \(2, 3\)"):
+            io.write_sparse_csv(make(np.arange(6.0).reshape(2, 3)), path)
+        assert not path.exists()
+
+    def test_writer_takes_canonical_csr_as_is(self, tmp_path, monkeypatch):
+        # a canonical CSR matrix is written from its own arrays, row-major, with
+        # no sort or summed copy; a non-canonical one is summed and sorted first
+        csr = sp.csr_matrix(([1.0, 0.0, -2.5, 4.0], ([0, 0, 2, 2], [1, 2, 0, 2])), shape=(3, 3))
+        assert csr.has_canonical_format
+        messy = sp.csr_matrix((np.array([0.0, 1.0, 4.0, -2.5, 0.0]), np.array([2, 1, 2, 0, 2]),
+                               np.array([0, 2, 2, 5])), shape=(3, 3))
+        messy.has_canonical_format = False  # unsorted columns and a repeated (2, 2)
+        summed = []
+        sum_duplicates = sp.coo_matrix.sum_duplicates
+        monkeypatch.setattr(sp.coo_matrix, "sum_duplicates",
+                            lambda self: summed.append(self.nnz) or sum_duplicates(self))
+        for i, matrix in enumerate([csr, messy]):
+            path = tmp_path / f"m{i}.csv"
+            io.write_sparse_csv(matrix, path)
+            assert summed == [5] * i
+            assert path.read_text() == "3,4\n0,1,1\n0,2,0\n2,0,-2.5\n2,2,4\n"
+            np.testing.assert_array_equal(read_sparse_csv(path).toarray(), csr.toarray())
 
 
 COEFF_ROWS = ["0,0,1.5,0", "1,-1,0.5,0.25", "1,0,2,0", "1,1,-0.5,0.25"]

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the physical-memory guard
+that raises one of them before a large allocation."""
+
+import os
 
 
 class SphereGraphError(Exception):
@@ -31,3 +34,17 @@ class IllPosedAnalysisError(NumericalFailureError):
 
 class UndefinedNormalizationError(SphereGraphError):
     """Equivariance error is undefined because the normalizing term vanishes."""
+
+
+def _physical_memory_bytes() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_memory(need: int, what: str) -> None:
+    """InvalidArgumentError, naming `what` and the estimate, when `need` bytes
+    exceed this machine's physical memory."""
+    memory = _physical_memory_bytes()
+    if need > memory:
+        raise InvalidArgumentError(
+            f"{what} needs about {need / 2**30:.1f} GiB, more than this machine's "
+            f"{memory / 2**30:.1f} GiB")

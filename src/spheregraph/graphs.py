@@ -14,7 +14,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from .errors import InvalidArgumentError, NumericalFailureError, SingularWeightError
+from .errors import (InvalidArgumentError, NumericalFailureError, SingularWeightError,
+                     check_memory)
 from .samplings import Sampling
 
 WEIGHT_KINDS = ("inverse-distance", "gaussian")
@@ -50,6 +51,7 @@ class Graph:
 
 
 _TIE_REL_TOL = 1e-12
+_BLOCK_ROWS = 1 << 14  # vertices whose kNN query, or whose symmetrization, runs at a time
 
 
 def knn_support(s: Sampling, k: int):
@@ -61,36 +63,75 @@ def knn_support(s: Sampling, k: int):
     sampling permutes the graph exactly. Vertices at tie boundaries may select
     slightly more than k neighbors. Each vertex's neighbors come out ranked by
     (squared distance, index); knn_edges and the heuristic widths read this.
+
+    Vertices are queried, tie-checked and ranked _BLOCK_ROWS at a time, and a
+    block widens its query window only while one of its own tie groups
+    straddles it. Each point's search is independent, so the support does not
+    depend on the block size. Only one block's (rows, window) arrays exist at
+    a time, and its entries go straight into the three outputs: those are
+    allocated once at k + 1 entries a vertex (doubled if ties need more) and
+    trimmed in place, so no per-block pieces are kept and joined.
+    InvalidArgumentError, before the tree is built, when the graph layer's
+    estimated peak exceeds physical memory.
     """
     n = s.n
     if not 1 <= k < n:
         raise InvalidArgumentError(f"need 1 <= k < n, got k={k}, n={n}")
+    check_memory(_graph_bytes(n, k), f"the k={k} graph on n={n} vertices")
     tree = cKDTree(s.points)
-    pad = 8
-    while True:
-        kq = min(n, k + 1 + pad)
-        # each point's search is independent: the result is the same on any number of threads
-        dist, idx = tree.query(s.points, k=kq, workers=-1)
-        thresh = dist[:, k] * (1.0 + _TIE_REL_TOL)
-        if kq == n or not np.any(dist[:, -1] <= thresh):
-            break
-        pad *= 2  # a tie group straddles the query window; widen it
-    keep = (dist <= thresh[:, None]) & (idx != np.arange(n)[:, None])
-    rows = np.repeat(np.arange(n, dtype=np.int64), keep.sum(axis=1))
-    diffs = s.points[rows] - s.points[idx[keep]]
-    d2 = np.full(idx.shape, np.inf)  # dropped entries rank last
-    d2[keep] = np.einsum("ij,ij->i", diffs, diffs)
-    order = np.lexsort((idx, d2), axis=1)
-    d2 = np.take_along_axis(d2, order, axis=1)
-    keep = d2 < np.inf
-    return rows, np.take_along_axis(idx, order, axis=1)[keep], np.sqrt(d2[keep])
+    rows, cols, dists = (np.empty(n * (k + 1), t) for t in (np.int64, np.int64, np.float64))
+    size = 0
+    for start in range(0, n, _BLOCK_ROWS):
+        points = s.points[start:start + _BLOCK_ROWS]
+        pad = 8
+        while True:
+            kq = min(n, k + 1 + pad)
+            # each point's search is independent: the result is the same on any number of threads
+            dist, idx = tree.query(points, k=kq, workers=-1)
+            thresh = dist[:, k] * (1.0 + _TIE_REL_TOL)
+            if kq == n or not np.any(dist[:, -1] <= thresh):
+                break
+            pad *= 2  # a tie group straddles this block's query window; widen it
+        ids = np.arange(start, start + len(points), dtype=np.int64)
+        keep = (dist <= thresh[:, None]) & (idx != ids[:, None])
+        block_rows = np.repeat(ids, keep.sum(axis=1))
+        diffs = s.points[block_rows] - s.points[idx[keep]]
+        d2 = np.full(idx.shape, np.inf)  # dropped entries rank last
+        d2[keep] = np.einsum("ij,ij->i", diffs, diffs)
+        order = np.lexsort((idx, d2), axis=1)
+        d2 = np.take_along_axis(d2, order, axis=1)
+        keep = d2 < np.inf
+        end = size + len(block_rows)
+        if end > len(rows):  # ties gave more than k + 1 neighbours a vertex so far
+            for out in (rows, cols, dists):
+                out.resize(2 * end, refcheck=False)
+        rows[size:end] = block_rows
+        cols[size:end] = np.take_along_axis(idx, order, axis=1)[keep]
+        dists[size:end] = np.sqrt(d2[keep])
+        size = end
+    for out in (rows, cols, dists):
+        out.resize(size, refcheck=False)  # in place: the unused tail is given back
+    return rows, cols, dists
 
 
-def _k_nearest(support, k: int):
-    """(n, k) indices and distances of each vertex's first k support entries."""
-    rows, cols, dists = support
-    pos = np.flatnonzero(np.diff(rows, prepend=-1))[:, None] + np.arange(k)
-    return cols[pos], dists[pos]
+def _graph_bytes(n: int, k: int) -> int:
+    """Estimated peak bytes of the graph layer on n vertices: 64 per vertex
+    and neighbor (k + 1, leaving room for ties), for the support's three
+    8-byte arrays, the weights and the directed and symmetric CSR matrices
+    beside them. Under tracemalloc build_graph peaked at 49-56 bytes per
+    vertex and k + 1 on HEALPix and random samplings of 100,000 points and
+    more at k 8-40; smaller ones add one block's query arrays."""
+    return 64 * n * (k + 1)
+
+
+def _k_nearest(rows, values, k: int) -> np.ndarray:
+    """(n, k) array of a support's `values` (its indices or distances) at each
+    vertex's first k entries, filled one rank at a time."""
+    starts = np.searchsorted(rows, np.arange(rows[-1] + 1))
+    out = np.empty((starts.size, k), values.dtype)
+    for rank in range(k):
+        out[:, rank] = values[starts + rank]
+    return out
 
 
 def knn_edges(s: Sampling, k: int) -> np.ndarray:
@@ -99,7 +140,8 @@ def knn_edges(s: Sampling, k: int) -> np.ndarray:
     Self-pairs are excluded. Ties are broken deterministically toward the
     lower index. The result is directed; build_graph symmetrizes by union.
     """
-    return _k_nearest(knn_support(s, k), k)[0]
+    rows, cols, _ = knn_support(s, k)
+    return _k_nearest(rows, cols, k)
 
 
 def _weights_from_distances(dists: np.ndarray, w: WeightScheme) -> np.ndarray:
@@ -113,9 +155,33 @@ def _weights_from_distances(dists: np.ndarray, w: WeightScheme) -> np.ndarray:
 
 
 def _assemble(n: int, rows, cols, vals, k: int, w: WeightScheme) -> Graph:
-    a = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    a = a.maximum(a.T)  # union symmetrization; weights are distance-determined
-    a.eliminate_zeros()
+    """Union-symmetrized adjacency from the ranked directed support.
+
+    The support's rows are ascending, so it is a CSR matrix as it stands. The
+    weights are distance-determined, so an edge held both ways carries one
+    weight, and the union is the directed matrix plus the entries of its
+    transpose that it lacks: one disjoint sum, whose arrays are exact-size.
+    Those entries come from the transpose minus the matrix, _BLOCK_ROWS rows
+    at a time, where an edge held both ways cancels to an exact zero.
+    """
+    if not vals.all():  # Gaussian weights that underflow to 0 are no edge either way round
+        nonzero = vals != 0
+        rows, cols, vals = rows[nonzero], cols[nonzero], vals[nonzero]
+    indptr = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    a = sp.csr_matrix((vals, cols, indptr), shape=(n, n))
+    a.sort_indices()
+    at = a.T.tocsr()
+    missing = []
+    for start in range(0, n, _BLOCK_ROWS):
+        block = at[start:start + _BLOCK_ROWS] - a[start:start + _BLOCK_ROWS]
+        block.data[block.data < 0] = 0  # entries only the directed matrix holds
+        block.eliminate_zeros()
+        missing.append(block)
+    del at
+    missing = sp.vstack(missing, format="csr")
+    if missing.nnz:
+        a = a + missing
     degrees = np.asarray(a.sum(axis=1)).ravel()
     return Graph(n, a, degrees, k, w)
 
@@ -163,9 +229,11 @@ class GaussianGraphFamily:
         """heuristic_kernel_width of this family's sampling and k."""
         if kind not in KERNEL_HEURISTICS:
             raise InvalidArgumentError(f"unknown heuristic {kind!r}")
-        dist = _k_nearest(self._support, self.k)[1]
+        rows, _, dists = self._support
+        dist = _k_nearest(rows, dists, self.k)
         if kind == "half-mean-square":
-            return float(0.5 * np.mean(dist**2))
+            dist **= 2
+            return float(0.5 * np.mean(dist))
         return float(np.mean(dist))
 
 
@@ -223,7 +291,7 @@ def largest_eigenvalue(L) -> float:
     from scipy.linalg import eigh_tridiagonal
 
     if sp.issparse(L):
-        L = sp.csr_matrix(L, dtype=np.float64, copy=True)
+        L = sp.csr_matrix(L, dtype=np.float64)  # shares the caller's arrays; none is written
         values = L.data
     else:
         L = values = np.asarray(L, dtype=np.float64)

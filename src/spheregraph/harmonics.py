@@ -32,14 +32,14 @@ makes that choice and the memory check for every user of B on a sampling.
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import IllPosedAnalysisError, InvalidArgumentError, NumericalFailureError
+from .errors import (IllPosedAnalysisError, InvalidArgumentError, NumericalFailureError,
+                     check_memory)
 from .samplings import Sampling, _ring_count, _zphi_to_xyz, reliable_band
 
 _CONDITION_LIMIT = 1e12
@@ -360,10 +360,6 @@ def rotate_coeffs(coeffs: HarmonicCoeffs, g: Rotation) -> HarmonicCoeffs:
 # Analysis / synthesis
 # ---------------------------------------------------------------------------
 
-def _physical_memory_bytes() -> int:
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
 class _DenseBasis:
     """B held whole, as the n x m array evaluate_basis returns: the route of
     samplings without iso-latitude rings."""
@@ -527,12 +523,8 @@ def _sampled_basis(s: Sampling, lmax: int, extra_bytes: int = 0):
     elsewhere; InvalidArgumentError, before anything large is allocated, when
     it and extra_bytes more would exceed physical memory."""
     basis_class = _DenseBasis if _ring_count(s) is None else _RingBasis
-    need = basis_class.nbytes(s, lmax) + extra_bytes
-    memory = _physical_memory_bytes()
-    if need > memory:
-        raise InvalidArgumentError(
-            f"the basis at n={s.n}, lmax={lmax} with its work arrays needs about "
-            f"{need / 2**30:.1f} GiB, more than this machine's {memory / 2**30:.1f} GiB")
+    check_memory(basis_class.nbytes(s, lmax) + extra_bytes,
+                 f"the basis at n={s.n}, lmax={lmax} with its work arrays")
     return basis_class(s, lmax)
 
 

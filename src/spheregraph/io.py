@@ -26,18 +26,35 @@ _CHUNK_ROWS = 65536  # rows written, or lines parsed, at a time
 
 
 def _distinct(column):
-    """The distinct values of `column` and the inverse indices that rebuild it,
-    in the narrowest unsigned type that holds them.
+    """The distinct values of `column`, or for a column of indices the range
+    that holds them, and the inverse indices that rebuild it from them.
 
-    Floats are told apart by bit pattern, so -0.0 and 0.0, and NaNs with
-    different signs or payloads, keep their own strings.
+    A nonnegative integer column whose largest value is below its length,
+    such as a sparse matrix's row or column indices, is its own inverse into
+    range(max + 1), with no sort. Other columns are sorted once; floats are
+    told apart by bit pattern, so -0.0 and 0.0, and NaNs with different signs
+    or payloads, keep their own strings. The inverse is in the narrowest
+    unsigned type that holds it, and the sort's temporaries are one index and
+    one key array beside the column.
     """
     column = np.asarray(column)
+    indices = column.dtype.kind in "iu" and column.size and 0 <= column.min()
+    if indices and column.max() < column.size:
+        return range(int(column.max()) + 1), column
     floats = column.dtype.kind == "f"
-    keys = np.ascontiguousarray(column, np.float64).view(np.int64) if floats else column
-    values, inverse = np.unique(keys, return_inverse=True)
-    return (values.view(np.float64) if floats else values,
-            inverse.astype(np.min_scalar_type(values.size)))
+    keys = np.ascontiguousarray(column, np.float64).view(np.int64) if floats else column.ravel()
+    order = np.argsort(keys)
+    ranked = keys[order]
+    first = np.empty(ranked.size, bool)
+    first[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    values = ranked[first]
+    del ranked
+    ranks = np.cumsum(first, dtype=np.min_scalar_type(values.size))
+    ranks -= 1
+    inverse = np.empty_like(ranks)
+    inverse[order] = ranks
+    return (values.view(np.float64) if floats else values).tolist(), inverse
 
 
 def _write_table(path, comments, header, row_format, columns, footer=None) -> None:
@@ -48,15 +65,20 @@ def _write_table(path, comments, header, row_format, columns, footer=None) -> No
     Each column's distinct values are formatted once, with the ',' or newline
     that follows the field, and rows are gathered from those strings: a
     symmetric sparse matrix repeats every value and vertex index, so its
-    export formats about a tenth of its fields. All columns are sorted for
-    their distinct values before any string exists, which keeps the sorts'
+    export formats about a tenth of its fields, and its row and column
+    indices share one set of strings. All columns are sorted for their
+    distinct values before any string exists, which keeps the sorts'
     temporaries and the strings apart in memory.
     """
     formats = row_format.split(",")
     ends = [","] * (len(formats) - 1) + ["\n"]
     distinct = [_distinct(column) for column in columns]
-    strings = [np.array(list(map((fmt + end).__mod__, values.tolist())), dtype=object)
-               for fmt, end, (values, _) in zip(formats, ends, distinct)]
+    made, strings = {}, []  # index columns of one range and format share their strings
+    for fmt, end, (values, _) in zip(formats, ends, distinct):
+        key = (fmt + end, values) if isinstance(values, range) else len(strings)
+        if key not in made:
+            made[key] = np.fromiter(map((fmt + end).__mod__, values), object, len(values))
+        strings.append(made[key])
     inverses = [inverse for _, inverse in distinct]
     with open(path, "w", newline="") as fh:
         fh.writelines(f"# {line}\n" for line in comments or ())

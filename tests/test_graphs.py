@@ -1,12 +1,16 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from click.testing import CliRunner
 from scipy.spatial import cKDTree
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_neighbors
-from spheregraph import graphs
+from spheregraph import cli, errors, graphs
 from spheregraph.errors import InvalidArgumentError, NumericalFailureError, SingularWeightError
 from spheregraph.graphs import (
     GaussianGraphFamily,
@@ -86,11 +90,93 @@ class TestKnnEdges:
                 return super().query(x, **{**kwargs, "workers": 1})
 
         monkeypatch.setattr(graphs, "cKDTree", SingleWorkerTree)
+        monkeypatch.setattr(graphs, "_BLOCK_ROWS", 1000)  # and in blocks of 1,000 rows
         one_worker = graphs.knn_support(s, k)
         assert workers and all(w == -1 for w in workers)  # the library asks for every core
         for got, want in zip(all_cores, one_worker):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+TIE_HEAVY = {  # samplings full of distance ties: the `graph` command's options, the sampling
+    "healpix-16-ring": (["--scheme", "healpix", "--nside", "16"], lambda: healpix_sampling(16)),
+    "healpix-16-nested": (["--scheme", "healpix", "--nside", "16", "--indexing", "nested"],
+                          lambda: healpix_sampling(16, "nested")),
+    "icosahedral-3": (["--scheme", "icosahedral", "--level", "3"],
+                      lambda: icosahedral_sampling(3)),
+    "equiangular-24": (["--scheme", "equiangular", "--bandwidth", "24"],
+                       lambda: equiangular_sampling(24)),
+}
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("k", [8, 40])
+    @pytest.mark.parametrize("name", list(TIE_HEAVY))
+    def test_block_size_changes_nothing(self, monkeypatch, tmp_path, name, k):
+        # tie groups straddle block edges, and some blocks widen their query
+        # window while their neighbours do not
+        options, make = TIE_HEAVY[name]
+        s = make()
+        runs = []
+        for rows in (s.n, 37):  # one block, then blocks of 37 rows
+            monkeypatch.setattr(graphs, "_BLOCK_ROWS", rows)
+            support = graphs.knn_support(s, k)
+            a = build_graph(s, k, WeightScheme("inverse-distance")).adjacency
+            out = tmp_path / f"graph-{rows}.csv"
+            result = CliRunner().invoke(cli.main, ["graph", *options, "--k", str(k),
+                                                   "--out", str(out)], catch_exceptions=False)
+            assert result.exit_code == 0, result.output
+            runs.append(([*support, a.data, a.indices, a.indptr], out.read_bytes()))
+        (one, one_csv), (blocked, blocked_csv) = runs
+        for got, want in zip(blocked, one):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert blocked_csv == one_csv
+
+    def test_memory_per_vertex(self, tmp_path):
+        # build_graph then the CSV export at HEALPix nside 64, k 8 (n 49,152), under
+        # tracemalloc. The kNN query over all n rows at once peaked at 1,033 bytes
+        # per vertex by itself. In blocks the two calls peak near 650: at this size
+        # one block is a third of the rows, beside the support's arrays, which
+        # are allocated at k + 1 entries a vertex.
+        s, k = healpix_sampling(64), 8
+        w = WeightScheme("gaussian", heuristic_kernel_width(s, k))
+        tracemalloc.start()
+        try:
+            a = build_graph(s, k, w).adjacency
+            write_sparse_csv(a, tmp_path / "graph.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / s.n < 720
+        for array in (a.data, a.indices):  # exact-size arrays, not views of larger buffers
+            assert array.base is None or array.base.nbytes == array.nbytes
+
+    def test_memory_guard(self, monkeypatch, capsys, tmp_path):
+        s, k = healpix_sampling(256), 40  # the graph layer's estimate is 1.9 GiB
+        queries = []
+
+        class CountingTree(cKDTree):
+            def query(self, x, **kwargs):
+                queries.append(len(x))
+                return super().query(x, **kwargs)
+
+        monkeypatch.setattr(graphs, "cKDTree", CountingTree)
+        monkeypatch.setattr(errors, "_physical_memory_bytes", lambda: 2**30)
+        estimate = f"needs about {graphs._graph_bytes(s.n, k) / 2**30:.1f} GiB"
+        assert estimate == "needs about 1.9 GiB"
+        for call in (lambda: build_graph(s, k, WeightScheme("inverse-distance")),
+                     lambda: GaussianGraphFamily(s, k),
+                     lambda: graphs.knn_support(s, k)):
+            with pytest.raises(InvalidArgumentError, match=estimate):
+                call()
+        monkeypatch.setattr(sys, "argv", ["spheregraph", "graph", "--scheme", "healpix",
+                                          "--nside", "256", "--k", "40",
+                                          "--out", str(tmp_path / "graph.csv")])
+        with pytest.raises(SystemExit) as info:
+            cli.run()
+        assert info.value.code == 2
+        assert estimate in capsys.readouterr().err
+        assert queries == [] and not (tmp_path / "graph.csv").exists()
 
 
 class TestBuildGraph:
@@ -329,6 +415,16 @@ class TestLargestEigenvalue:
     ], ids=["empty-csr", "dense", "explicit-zero-csr", "dense-5"])
     def test_zero_matrix(self, zero):
         assert largest_eigenvalue(zero) == 0.0
+
+    def test_caller_matrix_untouched(self):
+        s = healpix_sampling(8)
+        lap = laplacian(build_graph(s, 8, WeightScheme("gaussian", heuristic_kernel_width(s, 8))))
+        arrays = (lap.data, lap.indices, lap.indptr)
+        copies = [x.copy() for x in arrays]
+        lam = largest_eigenvalue(lap)
+        assert lam == largest_eigenvalue(lap.copy())
+        for x, before, copy in zip((lap.data, lap.indices, lap.indptr), arrays, copies):
+            assert x is before and np.array_equal(x, copy)
 
     def test_no_convergence_raises(self, monkeypatch):
         monkeypatch.setattr(graphs, "_EIG_MAX_ITER", 3)

@@ -9,7 +9,12 @@ from scipy.stats import kstest
 
 from spheregraph import harmonics
 from spheregraph.equivariance import extended_equivariance_check
-from spheregraph.errors import IllPosedAnalysisError, InvalidArgumentError, NumericalFailureError
+from spheregraph.errors import (
+    IllPosedAnalysisError,
+    InvalidArgumentError,
+    NumericalFailureError,
+    _physical_memory_bytes,
+)
 from spheregraph.harmonics import (
     _RIDGE_REL,
     AnalysisPlan,
@@ -21,7 +26,6 @@ from spheregraph.harmonics import (
     degree_slice,
     draw_degree_coeffs,
     draw_real_degree,
-    _physical_memory_bytes,
     equiangular_quadrature_weights,
     evaluate_basis,
     power_spectrum,

@@ -350,3 +350,18 @@ def test_writer_matches_reference_bytes(tmp_path, name, table):
     writer(*args, tmp_path / "new.csv", comments, **extra)
     reference(*args, tmp_path / "ref.csv", comments, **extra)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("past_range", [False, True], ids=["in-range", "one-past-range"])
+def test_sparse_index_columns_match_reference_bytes(tmp_path, past_range):
+    # indices below the table's length are their own inverse into one shared
+    # range of strings; a column holding a larger one is sorted instead
+    n = 2 * io._CHUNK_ROWS + 3
+    rows = np.arange(n) // 2
+    cols = np.random.default_rng(5).permutation(n)
+    cols[0] += n * past_range
+    values = np.resize(np.array(REPEATED), n)
+    matrix = sp.coo_matrix((values, (rows, cols)), shape=(2 * n,) * 2)
+    io.write_sparse_csv(matrix, tmp_path / "new.csv")
+    ref_write_sparse_csv(matrix, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

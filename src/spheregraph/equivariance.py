@@ -394,16 +394,24 @@ def extended_laplacian_apply(s: Sampling, t: float, f_pixels: np.ndarray,
     raw(y)    = (1/n) sum_i exp(-|x_i - y|^2 / (4 t)) (f(y) - f(x_i))
     scaled(y) = raw(y) / t^2   (converges to the Laplace-Beltrami value)
 
-    y may be one point (3,) or a stack (q, 3); f_y must match. Probes run in
-    blocks of _PROBE_PAIRS probe-pixel pairs, which leaves every value as is.
+    y may be one point (3,) with a scalar f_y, or a stack (q, 3) with f_y of
+    shape (q,); f_pixels has shape (n,). InvalidArgumentError otherwise. Probes
+    run in blocks of _PROBE_PAIRS probe-pixel pairs, which leaves every value as is.
     """
     if not t > 0:
         raise InvalidArgumentError("kernel width t must be positive")
     f_pixels = np.asarray(f_pixels, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    fy = np.asarray(f_y, dtype=np.float64)
+    if y.ndim not in (1, 2) or y.shape[-1] != 3:
+        raise InvalidArgumentError(f"y must have shape (3,) or (q, 3), got {y.shape}")
+    if f_pixels.shape != (s.n,) or fy.shape != y.shape[:-1]:
+        raise InvalidArgumentError(
+            f"f_pixels must have shape ({s.n},) and f_y {y.shape[:-1]}, "
+            f"got {f_pixels.shape} and {fy.shape}")
     single = y.ndim == 1
     ys = y[None, :] if single else y
-    fy = np.atleast_1d(np.asarray(f_y, dtype=np.float64))
+    fy = fy.reshape(len(ys))
     raw = np.empty(ys.shape[0])
     step = max(1, _PROBE_PAIRS // s.n)
     for rows in (slice(i, i + step) for i in range(0, ys.shape[0], step)):
@@ -460,7 +468,9 @@ def equivariance_sweep(samplings: Sequence[Sampling], ks: Sequence[int],
         raise InvalidArgumentError(f"unknown weight kind {weight_kind!r}")
     if threads < 1:
         raise InvalidArgumentError(f"threads must be >= 1, got {threads}")
-    degrees = list(degrees)
+    samplings, ks, degrees = list(samplings), list(ks), list(degrees)
+    if not samplings or not ks:
+        raise InvalidArgumentError("a sweep needs at least one sampling and one k")
     engines = {id(s): SweepEngine(s, _resolve_lmax(s, cfg)) for s in samplings}
 
     def run_pair(s: Sampling, k: int) -> list:

@@ -55,20 +55,22 @@ _BLOCK_ROWS = 1 << 14  # vertices whose kNN query, or whose symmetrization, runs
 
 
 def knn_support(s: Sampling, k: int):
-    """Directed edge support (rows, cols, dists): all neighbors within the
-    k-th-nearest distance, ties included.
+    """Directed edge support as CSR arrays (indptr, cols, dists): all
+    neighbors within the k-th-nearest distance, ties included.
 
-    Including every vertex tied with the k-th distance keeps the support a
-    pure function of pairwise distances, so any rotation that permutes the
-    sampling permutes the graph exactly. Vertices at tie boundaries may select
-    slightly more than k neighbors. Each vertex's neighbors come out ranked by
-    (squared distance, index); knn_edges and the heuristic widths read this.
+    Row i is cols[indptr[i]:indptr[i + 1]]; indptr is int64, cols int32 (the
+    adjacency's index type) and dists float64. Including every vertex tied
+    with the k-th distance keeps the support a pure function of pairwise
+    distances, so any rotation that permutes the sampling permutes the graph
+    exactly. Vertices at tie boundaries may select slightly more than k
+    neighbors. Each row comes out ranked by (squared distance, index);
+    knn_edges and the heuristic widths read this.
 
     Vertices are queried, tie-checked and ranked _BLOCK_ROWS at a time, and a
     block widens its query window only while one of its own tie groups
     straddles it. Each point's search is independent, so the support does not
     depend on the block size. Only one block's (rows, window) arrays exist at
-    a time, and its entries go straight into the three outputs: those are
+    a time, and its entries go straight into cols and dists: those are
     allocated once at k + 1 entries a vertex (doubled if ties need more) and
     trimmed in place, so no per-block pieces are kept and joined.
     InvalidArgumentError, before the tree is built, when the graph layer's
@@ -79,8 +81,8 @@ def knn_support(s: Sampling, k: int):
         raise InvalidArgumentError(f"need 1 <= k < n, got k={k}, n={n}")
     check_memory(_graph_bytes(n, k), f"the k={k} graph on n={n} vertices")
     tree = cKDTree(s.points)
-    rows, cols, dists = (np.empty(n * (k + 1), t) for t in (np.int64, np.int64, np.float64))
-    size = 0
+    indptr = np.zeros(n + 1, np.int64)
+    cols, dists = np.empty(n * (k + 1), np.int32), np.empty(n * (k + 1), np.float64)
     for start in range(0, n, _BLOCK_ROWS):
         points = s.points[start:start + _BLOCK_ROWS]
         pad = 8
@@ -92,98 +94,104 @@ def knn_support(s: Sampling, k: int):
             if kq == n or not np.any(dist[:, -1] <= thresh):
                 break
             pad *= 2  # a tie group straddles this block's query window; widen it
-        ids = np.arange(start, start + len(points), dtype=np.int64)
-        keep = (dist <= thresh[:, None]) & (idx != ids[:, None])
-        block_rows = np.repeat(ids, keep.sum(axis=1))
-        diffs = s.points[block_rows] - s.points[idx[keep]]
+        stop = start + len(points)
+        keep = (dist <= thresh[:, None]) & (idx != np.arange(start, stop)[:, None])
+        diffs = s.points[start + np.nonzero(keep)[0]] - s.points[idx[keep]]
         d2 = np.full(idx.shape, np.inf)  # dropped entries rank last
         d2[keep] = np.einsum("ij,ij->i", diffs, diffs)
         order = np.lexsort((idx, d2), axis=1)
         d2 = np.take_along_axis(d2, order, axis=1)
         keep = d2 < np.inf
-        end = size + len(block_rows)
-        if end > len(rows):  # ties gave more than k + 1 neighbours a vertex so far
-            for out in (rows, cols, dists):
+        indptr[start + 1:stop + 1] = indptr[start] + np.cumsum(keep.sum(axis=1))
+        begin, end = indptr[start], indptr[stop]
+        if end > len(cols):  # ties gave more than k + 1 neighbours a vertex so far
+            for out in (cols, dists):
                 out.resize(2 * end, refcheck=False)
-        rows[size:end] = block_rows
-        cols[size:end] = np.take_along_axis(idx, order, axis=1)[keep]
-        dists[size:end] = np.sqrt(d2[keep])
-        size = end
-    for out in (rows, cols, dists):
-        out.resize(size, refcheck=False)  # in place: the unused tail is given back
-    return rows, cols, dists
+        cols[begin:end] = np.take_along_axis(idx, order, axis=1)[keep]
+        dists[begin:end] = np.sqrt(d2[keep])
+    for out in (cols, dists):
+        out.resize(indptr[-1], refcheck=False)  # in place: the unused tail is given back
+    return indptr, cols, dists
 
 
 def _graph_bytes(n: int, k: int) -> int:
-    """Estimated peak bytes of the graph layer on n vertices: 64 per vertex
-    and neighbor (k + 1, leaving room for ties), for the support's three
-    8-byte arrays, the weights and the directed and symmetric CSR matrices
-    beside them. Under tracemalloc build_graph peaked at 49-56 bytes per
-    vertex and k + 1 on HEALPix and random samplings of 100,000 points and
-    more at k 8-40; smaller ones add one block's query arrays."""
-    return 64 * n * (k + 1)
+    """Estimated peak bytes of the graph layer on n vertices: 40 per vertex
+    and neighbor (k + 1, leaving room for ties). Each phase holds about 24:
+    the 12-byte support beside its transpose or its union, then the union
+    beside the weights and their own index copy. Under tracemalloc build_graph
+    peaked at 25-36 bytes on samplings of 100,000 points and more at k 8-40;
+    smaller ones add one block's query arrays."""
+    return 40 * n * (k + 1)
 
 
-def _k_nearest(rows, values, k: int) -> np.ndarray:
-    """(n, k) array of a support's `values` (its indices or distances) at each
-    vertex's first k entries, filled one rank at a time."""
-    starts = np.searchsorted(rows, np.arange(rows[-1] + 1))
-    out = np.empty((starts.size, k), values.dtype)
+def _k_nearest(indptr, values, k: int, dtype) -> np.ndarray:
+    """(n, k) `dtype` array of a support's `values` (its columns or distances)
+    at each vertex's first k entries, filled one rank at a time."""
+    out = np.empty((indptr.size - 1, k), dtype)
     for rank in range(k):
-        out[:, rank] = values[starts + rank]
+        out[:, rank] = values[indptr[:-1] + rank]
     return out
 
 
 def knn_edges(s: Sampling, k: int) -> np.ndarray:
-    """(n, k) indices of each vertex's k nearest neighbors by chordal distance.
+    """(n, k) int64 indices of each vertex's k nearest neighbors by chordal distance.
 
     Self-pairs are excluded. Ties are broken deterministically toward the
     lower index. The result is directed; build_graph symmetrizes by union.
     """
-    rows, cols, _ = knn_support(s, k)
-    return _k_nearest(rows, cols, k)
+    indptr, cols, _ = knn_support(s, k)
+    return _k_nearest(indptr, cols, k, np.int64)
+
+
+def _heuristic_widths(indptr, dists, k: int) -> dict:
+    """Both KERNEL_HEURISTICS widths of a ranked support."""
+    d = _k_nearest(indptr, dists, k, np.float64)
+    return {"half-mean-square": float(0.5 * np.mean(d**2)), "mean-distance": float(np.mean(d))}
+
+
+def _width(widths: dict, kind: str) -> float:
+    if kind not in KERNEL_HEURISTICS:
+        raise InvalidArgumentError(f"unknown heuristic {kind!r}")
+    return widths[kind]
 
 
 def _weights_from_distances(dists: np.ndarray, w: WeightScheme) -> np.ndarray:
-    if np.any(dists < 1e-14):
-        if w.kind == "inverse-distance":
-            raise SingularWeightError("coincident points give singular 1/d weights")
-        raise InvalidArgumentError("coincident points in sampling")
     if w.kind == "inverse-distance":
         return 1.0 / dists
-    return np.exp(-(dists**2) / (4.0 * w.kernel_width))
+    weights = -(dists**2) / (4.0 * w.kernel_width)  # one temporary, then exp in place
+    return np.exp(weights, out=weights)
 
 
-def _assemble(n: int, rows, cols, vals, k: int, w: WeightScheme) -> Graph:
-    """Union-symmetrized adjacency from the ranked directed support.
-
-    The support's rows are ascending, so it is a CSR matrix as it stands. The
-    weights are distance-determined, so an edge held both ways carries one
-    weight, and the union is the directed matrix plus the entries of its
-    transpose that it lacks: one disjoint sum, whose arrays are exact-size.
-    Those entries come from the transpose minus the matrix, _BLOCK_ROWS rows
-    at a time, where an edge held both ways cancels to an exact zero.
-    """
-    if not vals.all():  # Gaussian weights that underflow to 0 are no edge either way round
-        nonzero = vals != 0
-        rows, cols, vals = rows[nonzero], cols[nonzero], vals[nonzero]
-    indptr = np.zeros(n + 1, np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    a = sp.csr_matrix((vals, cols, indptr), shape=(n, n))
+def _union(n: int, indptr, cols, dists, kind: str) -> sp.csr_matrix:
+    """Union-symmetrized distance matrix of a directed support (its rows are
+    sorted in place). d_ij and d_ji come from the same two points, bit-identical,
+    so the union is the directed matrix plus the entries of its transpose that
+    it lacks: one disjoint sum, with exact-size arrays. Those entries come from
+    the transpose minus the matrix, _BLOCK_ROWS rows at a time, where an edge
+    held both ways cancels to an exact zero. The sum would drop zero distances,
+    so coincident points are rejected first, with the error of weight `kind`."""
+    if np.any(dists < 1e-14):
+        if kind == "inverse-distance":
+            raise SingularWeightError("coincident points give singular 1/d weights")
+        raise InvalidArgumentError("coincident points in sampling")
+    a = sp.csr_matrix((dists, cols, indptr), shape=(n, n))
     a.sort_indices()
     at = a.T.tocsr()
-    missing = []
-    for start in range(0, n, _BLOCK_ROWS):
-        block = at[start:start + _BLOCK_ROWS] - a[start:start + _BLOCK_ROWS]
-        block.data[block.data < 0] = 0  # entries only the directed matrix holds
-        block.eliminate_zeros()
-        missing.append(block)
+    missing = [(at[i:i + _BLOCK_ROWS] - a[i:i + _BLOCK_ROWS]).maximum(0)  # only in the transpose
+               for i in range(0, n, _BLOCK_ROWS)]
     del at
-    missing = sp.vstack(missing, format="csr")
-    if missing.nnz:
-        a = a + missing
-    degrees = np.asarray(a.sum(axis=1)).ravel()
-    return Graph(n, a, degrees, k, w)
+    return a + sp.vstack(missing, format="csr")
+
+
+def _graph(union: sp.csr_matrix, k: int, w: WeightScheme) -> Graph:
+    """Graph of weights w on a distance union: its data mapped to weights and
+    the degrees summed, on exact-size arrays that the union does not share."""
+    a = sp.csr_matrix((_weights_from_distances(union.data, w), union.indices.copy(),
+                       union.indptr.copy()), shape=union.shape)
+    if not a.data.all():  # Gaussian weights that underflow to 0 are no edge either way round
+        a.eliminate_zeros()
+        a = a.copy()  # exact-size arrays, not views of the longer ones
+    return Graph(union.shape[0], a, np.asarray(a.sum(axis=1)).ravel(), k, w)
 
 
 def build_graph(s: Sampling, k: int, w: WeightScheme) -> Graph:
@@ -192,8 +200,7 @@ def build_graph(s: Sampling, k: int, w: WeightScheme) -> Graph:
     The support comes from knn_support, so it is determined by pairwise
     distances alone (k-th-distance ties are all kept).
     """
-    rows, cols, dists = knn_support(s, k)
-    return _assemble(s.n, rows, cols, _weights_from_distances(dists, w), k, w)
+    return _graph(_union(s.n, *knn_support(s, k), w.kind), k, w)
 
 
 def laplacian(g: Graph) -> sp.csr_matrix:
@@ -204,37 +211,29 @@ def laplacian(g: Graph) -> sp.csr_matrix:
 
 
 class GaussianGraphFamily:
-    """kNN support computed once; Gaussian graphs for many widths and the
-    heuristic widths all derive from it.
+    """kNN support queried and symmetrized once; Gaussian graphs for many
+    widths and the heuristic widths all derive from it.
 
     Kernel-width searches evaluate dozens of widths on one sampling; the
-    neighbor sets and distances do not depend on t, so they are kept here.
+    neighbor sets and distances do not depend on t, so the family keeps the
+    union of distances (12 bytes an entry) and both heuristic widths.
     """
 
     def __init__(self, s: Sampling, k: int):
-        self.sampling = s
-        self.k = k
-        self._support = knn_support(s, k)
+        self.sampling, self.k = s, k
+        indptr, cols, dists = knn_support(s, k)
+        self._widths = _heuristic_widths(indptr, dists, k)
+        self._union = _union(s.n, indptr, cols, dists, "gaussian")
 
     def graph(self, t: float) -> Graph:
-        w = WeightScheme("gaussian", t)
-        rows, cols, dists = self._support
-        return _assemble(self.sampling.n, rows, cols, _weights_from_distances(dists, w),
-                         self.k, w)
+        return _graph(self._union, self.k, WeightScheme("gaussian", t))
 
     def laplacian(self, t: float) -> sp.csr_matrix:
         return laplacian(self.graph(t))
 
     def heuristic_width(self, kind: str = "half-mean-square") -> float:
         """heuristic_kernel_width of this family's sampling and k."""
-        if kind not in KERNEL_HEURISTICS:
-            raise InvalidArgumentError(f"unknown heuristic {kind!r}")
-        rows, _, dists = self._support
-        dist = _k_nearest(rows, dists, self.k)
-        if kind == "half-mean-square":
-            dist **= 2
-            return float(0.5 * np.mean(dist))
-        return float(np.mean(dist))
+        return _width(self._widths, kind)
 
 
 def heuristic_kernel_width(s: Sampling, k: int, kind: str = "half-mean-square") -> float:
@@ -248,7 +247,8 @@ def heuristic_kernel_width(s: Sampling, k: int, kind: str = "half-mean-square") 
     sampling and k queries twice; GaussianGraphFamily(s, k) gives the width
     (heuristic_width) and the graph from one query.
     """
-    return GaussianGraphFamily(s, k).heuristic_width(kind)
+    indptr, _, dists = knn_support(s, k)
+    return _width(_heuristic_widths(indptr, dists, k), kind)
 
 
 # Relative accuracy and safety inflation of largest_eigenvalue, and the

@@ -206,6 +206,17 @@ class TestSweepCommands:
         assert result.exit_code == 2
         assert "--threads" in result.output
 
+    def test_sweep_with_no_k_rejected(self, tmp_path):
+        # `--k ,` parses to no k at all: a usage error, like `--nside ,`, and no CSV
+        out = tmp_path / "sweep.csv"
+        for nside, k in (("2", ","), (",", "4")):
+            bad = subprocess.run(
+                [sys.executable, "-m", "spheregraph.cli", "equiv-sweep", "--scheme", "healpix",
+                 "--nside", nside, "--k", k, "--t", "heuristic", "--out", str(out)],
+                capture_output=True, text=True)
+            assert bad.returncode == 2, bad.stderr
+            assert not out.exists()
+
     def test_opt_t_needs_three_resolutions(self, runner):
         result = runner.invoke(main, ["opt-t", "--scheme", "healpix", "--nside", "2,4",
                                       "--k", "4"])

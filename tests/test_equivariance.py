@@ -635,6 +635,20 @@ class TestExtendedLaplacian:
         with pytest.raises(InvalidArgumentError):
             extended_laplacian_apply(s, 0.0, np.zeros(s.n), np.array([0, 0, 1.0]), 0.0)
 
+    @pytest.mark.parametrize("f_pixels, y, f_y", [
+        (np.zeros(47), np.zeros((5, 3)), np.zeros(5)),  # one pixel short
+        (np.zeros((48, 1)), np.zeros((5, 3)), np.zeros(5)),  # a column, not a vector
+        (np.zeros(48), np.zeros((5, 3)), np.zeros(4)),  # one probe value short
+        (np.zeros(48), np.zeros((5, 3)), 0.5),  # a scalar broadcast over five probes
+        (np.zeros(48), np.zeros(3), np.zeros(2)),  # two values for one probe
+        (np.zeros(48), np.zeros((5, 2)), np.zeros(5)),  # probes in two dimensions
+    ], ids=["short-f-pixels", "column-f-pixels", "short-f-y", "scalar-f-y-for-stack",
+            "f-y-pair-for-point", "planar-probes"])
+    def test_input_shapes_rejected(self, f_pixels, y, f_y):
+        s = healpix_sampling(2)
+        with pytest.raises(InvalidArgumentError, match="must have shape"):
+            extended_laplacian_apply(s, 0.1, f_pixels, y, f_y)
+
 
 class TestExtendedEquivarianceCheck:
     def test_identity_rotation(self):
@@ -676,6 +690,13 @@ class TestSweepDriver:
         with pytest.raises(InvalidArgumentError, match="threads must be >= 1"):
             equivariance_sweep([healpix_sampling(2)], [4], "gaussian", "heuristic", [2], cfg,
                                threads=threads)
+
+    def test_empty_grid_rejected(self):
+        cfg = EquivarianceConfig(2, 2, 7, None)
+        s = healpix_sampling(2)
+        for samplings, ks in (([], [4]), ([s], []), ([], [])):
+            with pytest.raises(InvalidArgumentError, match="at least one sampling and one k"):
+                equivariance_sweep(samplings, ks, "gaussian", "heuristic", [2], cfg)
 
     def test_inverse_distance_rows(self):
         cfg = EquivarianceConfig(2, 2, 5, None)

@@ -71,6 +71,22 @@ class TestKnnEdges:
         with pytest.raises(InvalidArgumentError):
             knn_edges(healpix_sampling(1), 12)
 
+    def test_support_is_csr(self):
+        # row i of the support is cols[indptr[i]:indptr[i + 1]], nearest first
+        s, k = icosahedral_sampling(2), 6
+        indptr, cols, dists = graphs.knn_support(s, k)
+        assert (indptr.dtype, cols.dtype, dists.dtype) == (np.int64, np.int32, np.float64)
+        assert indptr.shape == (s.n + 1,) and indptr[0] == 0
+        assert indptr[-1] == cols.size == dists.size and np.all(np.diff(indptr) >= k)
+        for i in range(s.n):
+            row = slice(indptr[i], indptr[i + 1])
+            np.testing.assert_allclose(
+                dists[row], np.linalg.norm(s.points[cols[row]] - s.points[i], axis=1), rtol=1e-14)
+            assert np.all(np.diff(dists[row]) >= 0) and i not in cols[row]
+        nb = knn_edges(s, k)
+        assert nb.dtype == np.int64
+        assert np.array_equal(nb, cols[indptr[:-1, None] + np.arange(k)])
+
     @pytest.mark.parametrize("make", [
         pytest.param(lambda: healpix_sampling(64), id="healpix-64-ring"),
         pytest.param(lambda: healpix_sampling(64, "nested"), id="healpix-64-nested"),
@@ -135,7 +151,7 @@ class TestBlocks:
     def test_memory_per_vertex(self, tmp_path):
         # build_graph then the CSV export at HEALPix nside 64, k 8 (n 49,152), under
         # tracemalloc. The kNN query over all n rows at once peaked at 1,033 bytes
-        # per vertex by itself. In blocks the two calls peak near 650: at this size
+        # per vertex by itself. In blocks the two calls peak near 530: at this size
         # one block is a third of the rows, beside the support's arrays, which
         # are allocated at k + 1 entries a vertex.
         s, k = healpix_sampling(64), 8
@@ -152,7 +168,7 @@ class TestBlocks:
             assert array.base is None or array.base.nbytes == array.nbytes
 
     def test_memory_guard(self, monkeypatch, capsys, tmp_path):
-        s, k = healpix_sampling(256), 40  # the graph layer's estimate is 1.9 GiB
+        s, k = healpix_sampling(256), 40  # the graph layer's estimate is 1.2 GiB
         queries = []
 
         class CountingTree(cKDTree):
@@ -163,7 +179,7 @@ class TestBlocks:
         monkeypatch.setattr(graphs, "cKDTree", CountingTree)
         monkeypatch.setattr(errors, "_physical_memory_bytes", lambda: 2**30)
         estimate = f"needs about {graphs._graph_bytes(s.n, k) / 2**30:.1f} GiB"
-        assert estimate == "needs about 1.9 GiB"
+        assert estimate == "needs about 1.2 GiB"
         for call in (lambda: build_graph(s, k, WeightScheme("inverse-distance")),
                      lambda: GaussianGraphFamily(s, k),
                      lambda: graphs.knn_support(s, k)):
@@ -452,9 +468,44 @@ class TestLargestEigenvalue:
 
 
 class TestGaussianGraphFamily:
-    def test_matches_build_graph(self, healpix4_ring):
-        fam = GaussianGraphFamily(healpix4_ring, 8)
-        for t in (0.01, 0.05):
+    @pytest.mark.parametrize("k", [8, 40])
+    @pytest.mark.parametrize("name", list(TIE_HEAVY))
+    def test_matches_build_graph(self, name, k):
+        s = TIE_HEAVY[name][1]()
+        fam = GaussianGraphFamily(s, k)
+        t_h = fam.heuristic_width()
+        dmax2 = float(graphs.knn_support(s, k)[2].max()) ** 2
+        # the heuristic widths, then widths where the longest edges' weights,
+        # exp(-800) and exp(-1000), underflow to 0
+        for t in (t_h, fam.heuristic_width("mean-distance"), dmax2 / 3200, dmax2 / 4000):
+            g, h = fam.graph(t), build_graph(s, k, WeightScheme("gaussian", t))
+            for got, want in ((g.adjacency.data, h.adjacency.data),
+                              (g.adjacency.indices, h.adjacency.indices),
+                              (g.adjacency.indptr, h.adjacency.indptr), (g.degrees, h.degrees)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            for array in (g.adjacency.data, g.adjacency.indices):  # exact-size arrays
+                assert array.base is None or array.base.nbytes == array.nbytes
+        assert g.adjacency.nnz < fam.graph(t_h).adjacency.nnz  # some weights did underflow
+        assert (g.adjacency != g.adjacency.T).nnz == 0
+
+    def test_widths_reuse_the_union(self, monkeypatch):
+        s = healpix_sampling(16)
+        fam = GaussianGraphFamily(s, 8)
+        first = fam.graph(0.01).adjacency
+        want = [array.copy() for array in (first.data, first.indices, first.indptr)]
+        for array in (first.indices, first.indptr):
+            array[:] = 0  # the adjacency's index arrays are its own, not the family's
+
+        def forbidden(name):
+            def fail(*args, **kwargs):
+                raise AssertionError(f"{name} called after the family was built")
+            return fail
+
+        monkeypatch.setattr(graphs, "cKDTree", forbidden("cKDTree"))
+        monkeypatch.setattr(graphs, "knn_support", forbidden("knn_support"))
+        for cls in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix):
+            monkeypatch.setattr(cls, "transpose", forbidden(f"{cls.__name__}.transpose"))
+        for t in (1e-4, 1e-3, fam.heuristic_width(), 0.1, 0.01):
             a = fam.graph(t).adjacency
-            b = build_graph(healpix4_ring, 8, WeightScheme("gaussian", t)).adjacency
-            assert (a != b).nnz == 0
+        for got, array in zip((a.data, a.indices, a.indptr), want):
+            assert got.tobytes() == array.tobytes()

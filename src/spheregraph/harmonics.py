@@ -20,13 +20,20 @@ appear only at the HarmonicCoeffs boundary: analysis, synthesis, rotate_coeffs
 and the CSV files.
 
 AnalysisPlan reaches the basis only through B u, B^T x, B's columns of a
-degree range and the upper triangle of G = B^T B. On samplings whose pixels
-lie on iso-latitude rings (HEALPix ring and nested, equiangular) it keeps B
-factored into per-ring Legendre values and per-pixel cos m phi / sin m phi
-(_RingBasis), synthesizes ring by ring and forms G one degree's block column
-at a time, never holding an n x (lmax+1)^2 array; other samplings keep that
-dense array (_DenseBasis) and form G from it with one dsyrk. _sampled_basis
-makes that choice and the memory check for every user of B on a sampling.
+degree range and the upper triangles of G = B^T B's symmetry-class blocks.
+The mirrors and turns a scheme declares (samplings.point_symmetry) part the
+rows (l, m) into classes that G does not couple (_symmetry_classes): 12 on
+HEALPix and icosahedral samplings, one per order and parity on equiangular
+grids below their bandwidth, one class on random and custom samplings. The
+plan verifies the declared symmetry on the points once, and keeps one
+Cholesky factor per class instead of one of the whole m x m Gram matrix. On
+samplings whose pixels lie on iso-latitude rings (HEALPix ring and nested,
+equiangular) it keeps B factored into per-ring Legendre values and per-pixel
+cos m phi / sin m phi (_RingBasis), synthesizes ring by ring and fills the
+class blocks one degree's block column at a time, never holding an
+n x (lmax+1)^2 array; other samplings keep that dense array (_DenseBasis) and
+form each block with dsyrk on the class's columns. _sampled_basis makes that
+choice and the memory check for every user of B on a sampling.
 """
 
 from __future__ import annotations
@@ -40,7 +47,8 @@ import scipy.linalg as sla
 
 from .errors import (IllPosedAnalysisError, InvalidArgumentError, NumericalFailureError,
                      check_memory)
-from .samplings import Sampling, _ring_count, _zphi_to_xyz, reliable_band
+from .samplings import (Sampling, _ring_count, _zphi_to_xyz, point_symmetry, reliable_band,
+                        rotation_permutation)
 
 _CONDITION_LIMIT = 1e12
 _RIDGE_REL = 1e-12
@@ -360,6 +368,44 @@ def rotate_coeffs(coeffs: HarmonicCoeffs, g: Rotation) -> HarmonicCoeffs:
 # Analysis / synthesis
 # ---------------------------------------------------------------------------
 
+def _symmetry_classes(s: Sampling, lmax: int) -> list:
+    """Rows of each symmetry class of a table spanning degrees 0..lmax, each in
+    flat order; one class of every row where the scheme declares no symmetry.
+
+    A map h that carries the sampling onto itself permutes its pixels, so
+    B(h x) = B(x) D(h) and G = B^T B commutes with D(h): G couples only rows
+    that h transforms alike. The mirror y -> -y keeps cos m phi and negates
+    sin m phi, so it parts the orders m >= 0 from m < 0; the turn by 2 pi / p
+    couples |m| only with |m'| = +-|m| (mod p); z -> -z multiplies a row by
+    (-1)^(l+|m|) and x -> -x by (-1)^l. The classes depend on the scheme and
+    lmax only; _check_symmetry verifies that the points have the symmetry.
+    """
+    sym = point_symmetry(s)
+    if sym is None:
+        return [np.arange((lmax + 1) ** 2)]
+    l, m, _ = _row_map(0, lmax)
+    order = np.abs(m)
+    turn = np.minimum(order % sym.turn_order, -order % sym.turn_order)
+    parity = (l + order) % 2 if sym.flip_z else l % 2
+    _, label = np.unique((turn * 2 + parity) * 2 + (m < 0), return_inverse=True)
+    rows = np.argsort(label, kind="stable")
+    return np.split(rows, np.cumsum(np.bincount(label))[:-1])
+
+
+def _check_symmetry(s: Sampling) -> None:
+    """InvalidArgumentError unless every generator its scheme declares maps the
+    sampling's points onto themselves."""
+    sym = point_symmetry(s)
+    for name, matrix in ({} if sym is None else sym.generators()).items():
+        try:
+            rotation_permutation(s, matrix)
+        except InvalidArgumentError as err:
+            raise InvalidArgumentError(
+                f"{s.scheme} sampling at resolution {s.resolution} lacks its scheme's "
+                f"symmetry {name}: {err}"
+            ) from None
+
+
 class _DenseBasis:
     """B held whole, as the n x m array evaluate_basis returns: the route of
     samplings without iso-latitude rings."""
@@ -372,10 +418,20 @@ class _DenseBasis:
         """Bytes of the n x m array a dense basis holds."""
         return 8 * s.n * (lmax + 1) ** 2
 
-    def gram(self) -> np.ndarray:
-        """The upper triangle of G = B^T B, strict lower triangle zero: one BLAS
-        dsyrk, which reads B^T (B in Fortran order) in place."""
-        return sla.blas.dsyrk(1.0, self.matrix.T, lower=0)
+    def gram(self, classes: list) -> list:
+        """The upper triangle of each class's block of G = B^T B, strict lower
+        triangle zero: BLAS dsyrk on the class's columns, summed over slabs of
+        a quarter as many pixels as the class has rows (at least 64), so that
+        the gathered columns stay a fraction of the block."""
+        blocks = []
+        for rows in classes:
+            block = np.zeros((rows.size, rows.size), order="F")  # dsyrk and the factor work in place
+            step = max(rows.size // 4, 64)
+            for start in range(0, self.matrix.shape[0], step):
+                slab = self.matrix[start:start + step, rows]
+                block = sla.blas.dsyrk(1.0, slab.T, beta=1.0, c=block, lower=0, overwrite_c=1)
+            blocks.append(block)
+        return blocks
 
     def synthesize(self, table: np.ndarray) -> np.ndarray:
         return self.matrix @ table
@@ -443,16 +499,19 @@ class _RingBasis:
         counts = np.unique(s.points[:, 2], return_counts=True)[1]
         return 8 * (counts.size * ((lmax + 1) ** 2 + int(counts.max()) * (2 * lmax + 1)) + 2 * s.n)
 
-    def gram(self) -> np.ndarray:
-        """The upper triangle of G = B^T B, strict lower triangle zero, filled
-        one degree's block column B^T B_l at a time.
+    def gram(self, classes: list) -> list:
+        """The upper triangle of each class's block of G = B^T B, strict lower
+        triangle zero, filled one degree's block column B^T B_l at a time.
 
         B_l is formed straight in the slot layout, each ring's Legendre values
         times its cos/sin columns, so the adjoint's two steps run on it without
-        a pixel-ordered n x (2l+1) copy of the columns.
+        a pixel-ordered n x (2l+1) copy of the columns. Each class takes its
+        rows of degrees <= l from the block column; a class's degree-l rows are
+        consecutive within the class, since both keep flat order.
         """
-        ncoef = (self.lmax + 1) ** 2
-        gram = np.zeros((ncoef, ncoef), order="F")  # factored in place, as dsyrk's result is
+        blocks = [np.zeros((rows.size, rows.size), order="F") for rows in classes]
+        # each class's positions at the first row of every degree
+        edges = [np.searchsorted(rows, np.arange(self.lmax + 2) ** 2) for rows in classes]
         for l in range(self.lmax + 1):
             sl = degree_slice(l)
             _, m, _ = _row_map(l, l)
@@ -462,10 +521,14 @@ class _RingBasis:
             del slots  # each step's input is freed before the next one allocates
             by_order = self._legendre_adjoint(ring_sums).reshape(-1, sl.stop - sl.start)
             del ring_sums
-            gram[:sl.stop, sl] = by_order[self._table_row[:sl.stop]]  # rows of degrees <= l
+            for rows, block, edge in zip(classes, blocks, edges):
+                lo, hi = edge[l], edge[l + 1]
+                if lo < hi:
+                    cols = rows[lo:hi] - sl.start  # its degree-l rows, counted within the degree
+                    block[:hi, lo:hi] = by_order[np.ix_(self._table_row[rows[:hi]], cols)]
+                    block[lo:hi, lo:hi] = np.triu(block[lo:hi, lo:hi])
             del by_order
-            gram[sl, sl] = np.triu(gram[sl, sl])
-        return gram
+        return blocks
 
     def synthesize(self, table: np.ndarray) -> np.ndarray:
         orders = self.lmax + 1
@@ -531,17 +594,21 @@ def _sampled_basis(s: Sampling, lmax: int, extra_bytes: int = 0):
 class AnalysisPlan:
     """Factorized least-squares analysis for one (sampling, lmax) pair.
 
-    Holds the real basis B and the inverse R^-1 of the upper Cholesky factor
-    of G + ridge*I = R^T R, where G = B^T B and the ridge is 1e-12 relative
-    to the mean Gram diagonal. B is kept as _sampled_basis chooses, and it
-    forms the upper triangle of G in its own way (by rings, or one dsyrk).
-    One m x m array then holds G, R and R^-1; G is not kept.
-    The condition estimate is read from R's diagonal before it is inverted.
-    Callers reach B only through synthesize (B u), adjoint (B^T x) and
-    columns (B's columns of a degree range). Tables in and out are
-    real-basis tables. Where a sampling theorem holds the ridge solve reduces
-    to the exact transform; elsewhere it is the regularized approximation of
-    the inverse sampling operator.
+    Holds the real basis B and, for each symmetry class of the sampling
+    (_symmetry_classes), the inverse R_c^-1 of the upper Cholesky factor of
+    G_c + ridge*I = R_c^T R_c, where G_c is the class's block of G = B^T B and
+    the ridge is 1e-12 relative to the mean Gram diagonal. G couples no two
+    classes, so Cholesky fills in nothing between them: the class factors are
+    the blocks of G's own factor, each in flat row order. B is kept as
+    _sampled_basis chooses, and it forms the class blocks of G's upper
+    triangle in its own way (by rings, or by dsyrk on each class's columns);
+    no m x m array is formed. One array per class holds its block, then R_c,
+    then R_c^-1. The condition estimate is read from the factors' diagonals
+    before they are inverted. Callers reach B only through synthesize (B u),
+    adjoint (B^T x) and columns (B's columns of a degree range). Tables in and
+    out are real-basis tables. Where a sampling theorem holds the ridge solve
+    reduces to the exact transform; elsewhere it is the regularized
+    approximation of the inverse sampling operator.
     """
 
     def __init__(self, s: Sampling, lmax: int):
@@ -550,16 +617,23 @@ class AnalysisPlan:
             raise InvalidArgumentError(
                 f"analysis needs (lmax+1)^2 <= n: {ncoef} > {s.n}"
             )
-        # beside the basis: one m*m array that holds G, then R, then R^-1
-        self._basis = _sampled_basis(s, lmax, extra_bytes=8 * ncoef * ncoef)
+        classes = _symmetry_classes(s, lmax)
+        # beside the basis: one array per class, which holds G_c, then R_c, then R_c^-1
+        self._basis = _sampled_basis(s, lmax, extra_bytes=8 * sum(rows.size ** 2 for rows in classes))
+        _check_symmetry(s)
         self.sampling = s
         self.lmax = lmax
-        # the upper triangle of G; its strict lower triangle stays zero from
-        # here to R^-1, which solve multiplies by whole
-        gram = self._basis.gram()
-        gram[np.diag_indices(ncoef)] += _RIDGE_REL * float(np.mean(gram.diagonal()))
-        factor, _ = sla.cho_factor(gram, lower=False, overwrite_a=True)
-        diag = np.abs(np.diag(factor))
+        self._classes = classes
+        # upper triangles; the strict lower triangles stay zero from here to
+        # R_c^-1, which solve multiplies by whole
+        blocks = self._basis.gram(classes)
+        ridge = _RIDGE_REL * sum(float(np.trace(block)) for block in blocks) / ncoef
+        diag = []
+        for block in blocks:
+            block[np.diag_indices(block.shape[0])] += ridge
+            factor, _ = sla.cho_factor(block, lower=False, overwrite_a=True)
+            diag.append(np.abs(np.diag(factor)))
+        diag = np.concatenate(diag)
         self.condition_estimate = float((diag.max() / diag.min()) ** 2)
         if self.condition_estimate > _CONDITION_LIMIT:
             raise IllPosedAnalysisError(
@@ -567,13 +641,16 @@ class AnalysisPlan:
                 f"(condition estimate {self.condition_estimate:.2e})",
                 condition_estimate=self.condition_estimate,
             )
-        # R^-1 in place of R, so that solve is two numpy GEMMs: scipy's
+        # R_c^-1 in place of R_c, so that solve is numpy GEMMs: scipy's
         # triangular solves run on scipy's own OpenBLAS thread pool, which
         # fights numpy's for the cores when the two alternate
-        self._r_inv, info = sla.lapack.dtrtri(factor, lower=0, overwrite_c=1)
-        if info != 0:
-            raise NumericalFailureError(f"inverting the Gram factor failed (LAPACK info {info})",
-                                        {"info": info})
+        self._r_inv = []
+        for factor in blocks:
+            r_inv, info = sla.lapack.dtrtri(factor, lower=0, overwrite_c=1)
+            if info != 0:
+                raise NumericalFailureError(f"inverting the Gram factor failed (LAPACK info {info})",
+                                            {"info": info})
+            self._r_inv.append(r_inv)
 
     def synthesize(self, table: np.ndarray) -> np.ndarray:
         """B table: pixel values of real-basis table(s) (m,) or (m, cols)."""
@@ -592,11 +669,19 @@ class AnalysisPlan:
         return self.solve(self.adjoint(signal))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """(G + ridge I)^-1 rhs = R^-1 (R^-T rhs), for G + ridge I = R^T R.
+        """(G + ridge I)^-1 rhs, class by class: R_c^-1 (R_c^-T rhs_c) for each
+        class's rows, for G_c + ridge I = R_c^T R_c.
 
-        Two numpy matrix products with the inverse factor, and no scipy call.
+        Two numpy matrix products per class, and no scipy call. Beside the
+        result it holds the class's gathered rows and R_c^-T times them; the
+        second product overwrites the gathered rows.
         """
-        return self._r_inv @ (self._r_inv.T @ rhs)
+        out = np.empty(rhs.shape, dtype=np.result_type(rhs, 1.0))
+        for rows, r_inv in zip(self._classes, self._r_inv):
+            part = rhs[rows].astype(out.dtype, copy=False)
+            np.matmul(r_inv, r_inv.T @ part, out=part)
+            out[rows] = part
+        return out
 
 
 def _checked_plan(plan: AnalysisPlan, s: Sampling, lmax: int) -> AnalysisPlan:

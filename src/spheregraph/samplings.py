@@ -334,8 +334,42 @@ def _ring_count(s: Sampling) -> Optional[int]:
     return None
 
 
+@dataclass(frozen=True)
+class PointSymmetry:
+    """Maps that carry a scheme's point set onto itself by construction: the
+    mirror y -> -y, the turn by 2 pi / turn_order about z, and either the
+    mirror z -> -z (flip_z) or the inversion x -> -x."""
+
+    turn_order: int
+    flip_z: bool
+
+    def generators(self) -> dict:
+        """Orthogonal 3x3 matrix of each generator, by name."""
+        return {
+            "y -> -y": np.diag([1.0, -1.0, 1.0]),
+            f"the turn by 2 pi/{self.turn_order} about z": z_rotation_matrix(2.0 * np.pi / self.turn_order),
+            **({"z -> -z": np.diag([1.0, 1.0, -1.0])} if self.flip_z else {"x -> -x": -np.eye(3)}),
+        }
+
+
+def point_symmetry(s: Sampling) -> Optional[PointSymmetry]:
+    """The symmetry a scheme declares for its point sets: C4 with both mirrors on
+    HEALPix (Gorski et al. 2005), C_2b with both mirrors on the equiangular grid,
+    C5 with the y mirror and the inversion on the icosahedral sampling (two
+    vertices on +-z, the two pentagon rings offset by pi/5); None for random and
+    custom samplings. It is a declaration: rotation_permutation verifies it."""
+    if s.scheme in ("healpix-ring", "healpix-nested"):
+        return PointSymmetry(4, True)
+    if s.scheme == "equiangular":
+        return PointSymmetry(2 * s.resolution, True)
+    if s.scheme == "icosahedral":
+        return PointSymmetry(5, False)
+    return None
+
+
 def rotation_permutation(s: Sampling, rotation_matrix: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Permutation realizing a rotation that maps the sampling onto itself.
+    """Permutation realizing a rotation (or any orthogonal map, such as a mirror)
+    that maps the sampling onto itself.
 
     Returns perm with perm[i] = index of the sampling point equal to
     R^T x_i (i.e. g^{-1} x_i), so that composing a sampled signal f as

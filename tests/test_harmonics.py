@@ -306,24 +306,39 @@ class TestAnalysisSynthesis:
             AnalysisPlan(s, 5)  # 36 coefficients from 12 pixels
 
     @pytest.mark.parametrize("make, need, figure", [
-        # m = 2^16: one m x m array (32 GiB), the ring basis's Legendre table
-        # (512 rings x m), padded trig table (512 x 512 slots x 511) and two
-        # pixel maps
-        pytest.param(lambda: equiangular_sampling(256),
-                     8 * (2**32 + 512 * 2**16 + 512 * 512 * 511 + 2 * 2**18), "33.3",
-                     id="equiangular-256"),
-        # the dense basis (n m doubles) and one m x m array
+        # lmax 255 on a grid of 2048 rings: the ring basis's padded trig table
+        # (2048 x 2048 slots x 511), its Legendre table (2048 rings x m), two
+        # pixel maps and the class factors (every |m| is a class of its own)
+        pytest.param(lambda: equiangular_sampling(1024),
+                     8 * (2048 * 2048 * 511 + 2048 * 2**16 + 2 * 2**22 + 5_592_576), "17.1",
+                     id="equiangular-1024"),
+        # the dense basis (n m doubles) and one class of m x m
         pytest.param(lambda: random_uniform_sampling(2**18, 0), 8 * (2**34 + 2**32), "160.0",
                      id="random-262144"),
     ])
     def test_dense_plan_memory_cliff_rejected(self, make, need, figure):
-        s = make()  # n = 262144, lmax 255
+        s = make()
         if _physical_memory_bytes() >= need:
             pytest.skip("the plan fits in this machine's memory")
         start = time.perf_counter()
         with pytest.raises(InvalidArgumentError, match=f"needs about {figure} GiB"):
             AnalysisPlan(s, 255)
         assert time.perf_counter() - start < 0.5
+
+    def test_plan_memory_estimate_counts_class_factors(self, monkeypatch):
+        # HEALPix nside 64, lmax 191: 12 class factors of at most 4,656 rows
+        # (0.95 GiB) and the ring tables, where one m x m factor alone took
+        # 10.1 GiB. The guard's estimate is read before anything is built.
+        needs = []
+
+        def record(need, what):
+            needs.append(need)
+            raise InvalidArgumentError("estimate recorded")
+
+        monkeypatch.setattr(harmonics, "check_memory", record)
+        with pytest.raises(InvalidArgumentError, match="estimate recorded"):
+            AnalysisPlan(healpix_sampling(64), 191)
+        assert needs[0] / 2**30 == pytest.approx(1.2, abs=0.05)
 
     def test_dense_synthesis_memory_cliff_rejected(self):
         # synthesis without a plan checks the basis it would hold, as a plan does
@@ -347,11 +362,11 @@ class TestAnalysisSynthesis:
             call(s, AnalysisPlan(s, 5))
 
     def test_gram_factored_without_extra_copy(self, monkeypatch):
-        # beyond the inverse factor it keeps, building a plan may hold less
-        # than one more m x m matrix: G, its factor and the inverse are one
-        # array. The dense route is the one that keeps the given basis.
+        # beyond the class factors it keeps, building a plan may hold less
+        # than 0.9 of them more: each class's block of G, its factor and the
+        # inverse are one array, and the class's columns are gathered a slab
+        # of pixels at a time. The dense route is the one that keeps the given basis.
         s, lmax = icosahedral_sampling(4), 23
-        m = (lmax + 1) ** 2
         basis = evaluate_basis(s, lmax)
         monkeypatch.setattr(harmonics, "evaluate_basis", lambda *args: basis)
         tracemalloc.start()
@@ -360,8 +375,10 @@ class TestAnalysisSynthesis:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        kept = sum(r_inv.nbytes for r_inv in plan._r_inv)
         assert plan._basis.matrix is basis
-        assert (peak - plan._r_inv.nbytes) / (8 * m * m) < 0.9
+        assert len(plan._r_inv) == 12
+        assert (peak - kept) / kept < 0.9
 
     @pytest.mark.parametrize("make", [
         lambda: healpix_sampling(8, "ring"),
@@ -369,8 +386,8 @@ class TestAnalysisSynthesis:
         lambda: equiangular_sampling(24),
     ], ids=["healpix-ring", "healpix-nested", "equiangular"])
     def test_ring_plan_drops_the_dense_basis(self, make):
-        # a ring plan keeps R^-1 and its ring tables, and holds no n x m
-        # array while it is built either
+        # a ring plan keeps its class factors and its ring tables, and holds
+        # no n x m array while it is built either
         s, lmax = make(), 23
         n_m_bytes = 8 * s.n * (lmax + 1) ** 2
         tracemalloc.start()
@@ -379,9 +396,38 @@ class TestAnalysisSynthesis:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        kept = sum(r_inv.nbytes for r_inv in plan._r_inv)
         assert not isinstance(plan._basis, harmonics._DenseBasis)
-        assert held - plan._r_inv.nbytes < 0.5 * n_m_bytes
-        assert peak - plan._r_inv.nbytes < 0.5 * n_m_bytes
+        assert held - kept < 0.5 * n_m_bytes
+        assert peak - kept < 0.5 * n_m_bytes
+
+    def test_plan_build_forms_no_full_gram(self):
+        # HEALPix nside 16, lmax 47: the 12 class blocks hold 3.8 MiB where
+        # one m x m array took 40.5 MiB, and no step of the build forms one
+        s, lmax = healpix_sampling(16), 47
+        tracemalloc.start()
+        try:
+            AnalysisPlan(s, lmax)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (lmax + 1) ** 4
+
+    def test_solve_holds_class_sized_temporaries(self):
+        # beside its result, solve holds one class's gathered rows and
+        # R_c^-T times them: at HEALPix nside 16 the largest class has 300 of
+        # the 2,304 rows
+        s, lmax = healpix_sampling(16), 47
+        plan = AnalysisPlan(s, lmax)
+        rhs = np.random.default_rng(0).standard_normal(((lmax + 1) ** 2, 256))
+        plan.solve(rhs)  # first-call allocations out of the way
+        tracemalloc.start()
+        try:
+            out = plan.solve(rhs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < rhs.nbytes
 
     @pytest.mark.parametrize("make", [
         lambda: healpix_sampling(8),
@@ -390,12 +436,13 @@ class TestAnalysisSynthesis:
         lambda: random_uniform_sampling(400, 1),
     ], ids=["healpix", "equiangular", "icosahedral", "random"])
     def test_inverse_factor_is_upper_triangular(self, make):
-        # solve multiplies by the whole array, so its strict lower triangle must be zero
+        # solve multiplies by each class's whole array, so its strict lower triangle must be zero
         s = make()
         plan = AnalysisPlan(s, reliable_band(s) // 2)
         dense = s.scheme in ("icosahedral", "random")
         assert isinstance(plan._basis, harmonics._DenseBasis) == dense
-        assert not np.any(np.tril(plan._r_inv, -1))
+        for r_inv in plan._r_inv:
+            assert not np.any(np.tril(r_inv, -1))
 
     def test_failed_factor_inversion_raises(self, monkeypatch):
         monkeypatch.setattr(sla.lapack, "dtrtri", lambda c, lower, overwrite_c: (c, 3))
@@ -478,10 +525,12 @@ class TestRingBasis:
     def test_gram_matches_dsyrk(self, make, part):
         s = make()
         lmax = reliable_band(s) if part == "band" else reliable_band(s) // 2
-        gram = harmonics._RingBasis(s, lmax).gram()
+        classes = harmonics._symmetry_classes(s, lmax)
+        blocks = harmonics._RingBasis(s, lmax).gram(classes)
         want = sla.blas.dsyrk(1.0, evaluate_basis(s, lmax).T, lower=0)
-        assert np.abs(gram - want).max() <= 1e-13 * np.abs(want).max()
-        assert not np.any(np.tril(gram, -1))
+        for rows, block in zip(classes, blocks, strict=True):
+            assert np.abs(block - want[np.ix_(rows, rows)]).max() <= 1e-13 * np.abs(want).max()
+            assert not np.any(np.tril(block, -1))
 
     @pytest.mark.parametrize("make", [
         lambda: healpix_sampling(8, "ring"),
@@ -544,6 +593,107 @@ class TestRingBasis:
         finally:
             tracemalloc.stop()
         assert peak < 0.25 * 8 * s.n * (lmax + 1) ** 2
+
+
+SYMMETRIC_SAMPLINGS = ([(f"healpix-{order}-{nside}", lambda nside=nside, order=order:
+                         healpix_sampling(nside, order))
+                        for nside in (1, 2, 4, 8, 16) for order in ("ring", "nested")]
+                       + [(f"equiangular-{b}", lambda b=b: equiangular_sampling(b)) for b in range(1, 17)]
+                       + [(f"icosahedral-{level}", lambda level=level: icosahedral_sampling(level))
+                          for level in range(4)])
+
+
+def _oracle_band(s: Sampling) -> int:
+    # the icosahedral reliable band's last degree makes G nearly singular
+    # (condition 1e12 at level 3), where two sound solvers part by its
+    # condition number times the rounding; one degree less it is below 2.5
+    return reliable_band(s) - (s.scheme == "icosahedral")
+
+
+class TestSymmetryClasses:
+    """A plan keeps one factor per symmetry class; one factor of the dense G is the oracle."""
+
+    @pytest.mark.parametrize("make", [pytest.param(make, id=name) for name, make in SYMMETRIC_SAMPLINGS])
+    def test_class_factors_match_one_factor(self, make):
+        s = make()
+        lmax = _oracle_band(s)
+        plan = AnalysisPlan(s, lmax)
+        basis = evaluate_basis(s, lmax)
+        gram = _ridged_gram(basis)
+        factor = sla.cho_factor(gram)
+        rng = np.random.default_rng(lmax)
+        values = rng.standard_normal((s.n, 6))
+        rhs = rng.standard_normal((basis.shape[1], 6))
+
+        def close(got, want):
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+        close(plan.solve(rhs), sla.cho_solve(factor, rhs))
+        close(plan.solve(rhs[:, 0]), sla.cho_solve(factor, rhs[:, 0]))
+        table = sla.cho_solve(factor, basis.T @ values)
+        close(plan.analyze_table(values), table)
+        close(plan.synthesize(table), basis @ table)
+        diag = np.abs(np.diag(factor[0]))
+        assert plan.condition_estimate == pytest.approx((diag.max() / diag.min()) ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("make", [pytest.param(make, id=name) for name, make in SYMMETRIC_SAMPLINGS])
+    def test_gram_couples_no_two_classes(self, make):
+        s = make()
+        lmax = _oracle_band(s)
+        classes = harmonics._symmetry_classes(s, lmax)
+        assert np.array_equal(np.sort(np.concatenate(classes)), np.arange((lmax + 1) ** 2))
+        for rows in classes:
+            assert np.all(np.diff(rows) > 0)  # flat order within a class
+        gram = sla.blas.dsyrk(1.0, evaluate_basis(s, lmax).T, lower=0)
+        label = np.empty((lmax + 1) ** 2, dtype=np.int64)
+        for c, rows in enumerate(classes):
+            label[rows] = c
+        off_class = label[:, None] != label[None, :]
+        assert np.abs(gram[off_class]).max(initial=0.0) <= 1e-14 * np.abs(gram).max()
+
+    @pytest.mark.parametrize("make, count", [
+        (lambda: healpix_sampling(8), 12),
+        (lambda: healpix_sampling(8, "nested"), 12),
+        (lambda: icosahedral_sampling(3), 12),
+        # lmax 14 < b: each order is a class of its own, parted by parity
+        # except at |m| = 14, so 29 cos and 27 sin classes
+        (lambda: equiangular_sampling(16), 56),
+        (lambda: random_uniform_sampling(400, 1), 1),
+        (lambda: Sampling(healpix_sampling(4).points, "custom", 192), 1),
+    ], ids=["healpix-ring", "healpix-nested", "icosahedral", "equiangular", "random", "custom"])
+    def test_class_count(self, make, count):
+        s = make()
+        plan = AnalysisPlan(s, reliable_band(s) - 1)
+        assert len(plan._r_inv) == len(plan._classes) == count
+        if count == 1:
+            assert np.array_equal(plan._classes[0], np.arange((plan.lmax + 1) ** 2))
+
+    @pytest.mark.parametrize("make, generator", [
+        (lambda: Sampling(random_uniform_sampling(642, 0).points, "icosahedral", 3), "y -> -y"),
+        # the turn keeps the rings and C4, but not the y -> -y mirror
+        (lambda: Sampling(healpix_sampling(4).points @ z_rotation_matrix(0.1).T, "healpix-ring", 4),
+         "y -> -y"),
+        # the turn by pi/5 maps one pentagon ring onto the other's longitudes
+        # and keeps the inversion, but not the mirror
+        (lambda: Sampling(icosahedral_sampling(2).points @ z_rotation_matrix(np.pi / 10).T,
+                          "icosahedral", 2), "y -> -y"),
+        # an equiangular grid shifted by half a ring loses z -> -z
+        (lambda: Sampling(_lifted_equiangular(4), "equiangular", 4), "z -> -z"),
+    ], ids=["random-as-icosahedral", "healpix-turned", "icosahedral-turned", "equiangular-lifted"])
+    def test_points_without_the_declared_symmetry_rejected(self, make, generator):
+        s = make()
+        with pytest.raises(InvalidArgumentError, match=f"lacks its scheme's symmetry {generator}"):
+            AnalysisPlan(s, 2)
+
+
+def _lifted_equiangular(b: int) -> np.ndarray:
+    """The 2b x 2b grid with every colatitude moved towards the north pole by a
+    quarter of the ring spacing: its rings and longitudes, but not z -> -z."""
+    s = equiangular_sampling(b)
+    theta = np.arccos(s.points[:, 2]) - np.pi / (8.0 * b)
+    phi = np.arctan2(s.points[:, 1], s.points[:, 0])
+    return np.column_stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
 
 
 class TestRotations:

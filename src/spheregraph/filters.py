@@ -3,7 +3,9 @@
 A filter h(L) f = sum_i alpha_i L^i f is applied by recursive sparse matvecs
 (never by forming matrix powers), in either the monomial basis or the
 Chebyshev basis of the rescaled operator 2 L / lambda_max - I. Both cost
-exactly P operator applications for order P.
+exactly P operator applications for order P. Each step runs on the
+operator's row chunks across cores (graphs._row_chunks), with the same
+arithmetic for every row, so outputs are bit-identical for any core count.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from numpy.polynomial import chebyshev as C
 from numpy.polynomial import polynomial as P
 
 from .errors import InvalidArgumentError
+from .graphs import _row_chunks, _run_rows
 from .samplings import Sampling
 
 FILTER_BASES = ("monomial", "chebyshev")
@@ -52,29 +55,53 @@ class FilterCoeffs:
 
 
 def filter_apply(L, h: FilterCoeffs, f: np.ndarray) -> np.ndarray:
-    """Apply h(L) to a signal with exactly h.order sparse matvecs."""
+    """Apply h(L) to a signal with exactly h.order operator applications.
+
+    L is a square operator with `shape` and `@` (a scipy sparse or dense
+    matrix, or any object that multiplies a vector). Each step of the
+    recurrence runs on L's row chunks (graphs._row_chunks), one task per
+    core: the chunk's rows of the matvec and of the vector updates, in one
+    fixed operation order, written into preallocated vectors. Every entry
+    therefore comes out bit-identical for any number of chunks. Raises
+    InvalidArgumentError, before any matvec, for a non-square L or a signal
+    of the wrong shape.
+    """
+    shape = tuple(L.shape)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise InvalidArgumentError(f"filter_apply needs a square operator, got shape {shape}")
+    n = shape[0]
     f = np.asarray(f, dtype=np.float64)
-    if f.shape != (L.shape[0],):
-        raise InvalidArgumentError(f"signal must have shape ({L.shape[0]},), got {f.shape}")
+    if f.shape != (n,):
+        raise InvalidArgumentError(f"signal must have shape ({n},), got {f.shape}")
     c = h.coeffs
-    if h.basis == "monomial":
-        y = c[0] * f
-        p = f
-        for alpha in c[1:]:
-            p = L @ p
-            y = y + alpha * p
-        return y
-    # Chebyshev three-term recurrence on Lt = 2 L / lambda_max - I
-    scale = 2.0 / h.lambda_max
-    t_prev = f
     y = c[0] * f
-    if h.order >= 1:
-        t_curr = scale * (L @ f) - f
-        y = y + c[1] * t_curr
-        for alpha in c[2:]:
-            t_next = 2.0 * (scale * (L @ t_curr) - t_curr) - t_prev
-            t_prev, t_curr = t_curr, t_next
-            y = y + alpha * t_curr
+    if h.order == 0:
+        return y
+    chunks = _row_chunks(L, n)
+    scale = 2.0 / h.lambda_max if h.basis == "chebyshev" else None
+
+    # Each task allocates only its rows of L t_curr, and turns them in place
+    # into its rows of the next term, written over t_prev's rows (which only
+    # this task reads), and then of alpha times that term, added into y.
+    def step(start, stop, rows):
+        t = rows @ t_curr
+        if scale is not None:
+            # Chebyshev recurrence on Lt = 2 L / lambda_max - I:
+            # T_1 = Lt f and T_{i+1} = 2 Lt T_i - T_{i-1}, with T_0 = f
+            t *= scale
+            t -= t_curr[start:stop]
+            if t_prev is not None:
+                t *= 2.0
+                t -= t_prev[start:stop]
+        t_next[start:stop] = t
+        t *= alpha
+        y[start:stop] += t
+
+    t_prev, t_curr = None, f
+    for alpha in c[1:]:
+        t_next = np.empty(n) if t_prev is None or t_prev is f else t_prev
+        _run_rows(chunks, step)
+        t_prev, t_curr = t_curr, t_next
     return y
 
 

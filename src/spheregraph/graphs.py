@@ -7,6 +7,10 @@ combinatorial L = D - A; no normalization is applied.
 
 from __future__ import annotations
 
+import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Optional
 
@@ -251,6 +255,99 @@ def heuristic_kernel_width(s: Sampling, k: int, kind: str = "half-mean-square") 
     return _width(_heuristic_widths(indptr, dists, k), kind)
 
 
+# Row chunks of a graph operator. Filters and the Lanczos bound run each step
+# of their recurrences as one task per chunk on a module thread pool, the
+# first chunk on the calling thread. Every row's matvec and vector updates are
+# the same arithmetic in any chunk, and reductions are summed per fixed
+# _REDUCE_ROWS block, so no result depends on the number of chunks.
+_REDUCE_ROWS = 1 << 14
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's pool threads: it makes its own."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _cores() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _row_chunks(L, n: int) -> list:
+    """(start, stop, rows) chunks of the n x n operator L, one per core, each a
+    whole number of _REDUCE_ROWS-row blocks; rows is a CSR matrix of L's rows
+    [start, stop) on L's own data and index arrays. A single chunk, with L
+    itself as its rows, when n fits one block, one core is usable, or L is
+    not a scipy CSR matrix (dense arrays and other operators run whole)."""
+    blocks = -(-n // _REDUCE_ROWS)
+    count = min(_cores(), blocks)
+    if count <= 1 or not (sp.issparse(L) and L.format == "csr"):
+        return [(0, n, L)]
+    chunks = []
+    for i in range(count):
+        start = blocks * i // count * _REDUCE_ROWS
+        stop = min(n, blocks * (i + 1) // count * _REDUCE_ROWS)
+        lo, hi = L.indptr[start], L.indptr[stop]
+        # set after construction: the constructor copies a view of less than
+        # half its base array
+        rows = sp.csr_matrix((stop - start, L.shape[1]), dtype=L.dtype)
+        rows.data, rows.indices = L.data[lo:hi], L.indices[lo:hi]
+        rows.indptr = L.indptr[start:stop + 1] - lo
+        chunks.append((start, stop, rows))
+    return chunks
+
+
+def _run_rows(chunks: list, task) -> None:
+    """task(start, stop, rows) for every chunk: the first on this thread, the
+    others on the module pool. Returns once all have finished."""
+    global _POOL
+    futures = []
+    if len(chunks) > 1:
+        with _POOL_LOCK:
+            if _POOL is None:
+                _POOL = ThreadPoolExecutor(max(1, _cores() - 1), "spheregraph-rows")
+        futures = [_POOL.submit(task, *chunk) for chunk in chunks[1:]]
+    try:
+        task(*chunks[0])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
+def _block_dots(u, v, start: int, stop: int, out: np.ndarray) -> None:
+    """out[i] = u . v over rows [start, stop) of each _REDUCE_ROWS-row block i
+    that they cover, by np.einsum (no BLAS call, whose sums depend on its
+    thread count). start is a block boundary; stop is one or the end."""
+    for lo in range(start, stop, _REDUCE_ROWS):
+        hi = min(lo + _REDUCE_ROWS, stop)
+        out[lo // _REDUCE_ROWS] = np.einsum("i,i->", u[lo:hi], v[lo:hi])
+
+
+def _block_total(partials: np.ndarray) -> float:
+    """The per-block partial sums added in block order (sum() compensates
+    from Python 3.12 on, which would tie results to the interpreter)."""
+    total = 0.0
+    for p in partials.tolist():
+        total += p
+    return total
+
+
+def _dot(u, v, partials: np.ndarray) -> float:
+    """u . v summed per block in block order; `partials` holds one per block."""
+    _block_dots(u, v, 0, u.size, partials)
+    return _block_total(partials)
+
+
 # Relative accuracy and safety inflation of largest_eigenvalue, and the
 # step cap of its first Lanczos pass.
 _EIG_TOL = 1e-6
@@ -267,7 +364,16 @@ def largest_eigenvalue(L) -> float:
     the Lanczos estimate of the Ritz residual, or once beta_j = 0 (an
     invariant subspace). Pass 2 regenerates the same Lanczos vectors from
     the stored alpha and beta and sums the Ritz vector x = sum_i s_i q_i,
-    so the basis is never stored: the run holds a few n-vectors.
+    so the basis is never stored: each pass holds three n-vectors and the
+    certificate four.
+
+    Each step runs on L's row chunks (_row_chunks), one task per core. Pass 1
+    runs the matvec and the beta q_prev update, then the alpha q update;
+    pass 2 regenerates each chunk's rows of q and adds them into x. Every dot
+    product and norm, the start vector's and the certificate's included, is
+    summed per _REDUCE_ROWS-row block by np.einsum and the blocks added in
+    order, so alpha, beta and the result depend on n only, not on the number
+    of chunks or of BLAS threads.
 
     The result is certified from x itself: with theta' = x'Lx / x'x and
     r = |L x - theta' x| / |x|, some eigenvalue of L lies within r of
@@ -308,19 +414,35 @@ def largest_eigenvalue(L) -> float:
         return 0.0
     e = int(np.frexp(amax)[1])
     L.data = np.ldexp(L.data, -e)
+    chunks = _row_chunks(L, n)
+    partials = np.empty(-(-n // _REDUCE_ROWS))
     q0 = np.cos(np.arange(n, dtype=np.float64) + 0.5)
-    q0 /= np.linalg.norm(q0)
+    q0 /= math.sqrt(_dot(q0, q0, partials))
     tol = 0.1 * _EIG_TOL
+
+    # Each task writes its rows of w = L q - b q_prev, then of w - a q, over
+    # its rows of q_prev, which no other task reads; a step ends by scaling w
+    # to the next q. A task allocates one chunk-sized array.
+    def lanczos_matvec(start, stop, rows):
+        w = rows @ q
+        out = q_prev[start:stop]
+        out *= b
+        w -= out
+        out[...] = w
+        _block_dots(q, q_prev, start, stop, partials)
+
+    def lanczos_update(start, stop, rows):
+        q_prev[start:stop] -= a * q[start:stop]
+        _block_dots(q_prev, q_prev, start, stop, partials)
 
     # Pass 1: alpha and beta only.
     alpha, beta = np.empty(_EIG_MAX_ITER), np.empty(_EIG_MAX_ITER)
-    q_prev, q, b = np.zeros(n), q0, 0.0
+    q_prev, q, b = np.zeros(n), q0.copy(), 0.0
     for j in range(_EIG_MAX_ITER):
-        w = L @ q
-        w -= b * q_prev
-        a = float(q @ w)
-        w -= a * q
-        b = float(np.linalg.norm(w))
+        _run_rows(chunks, lanczos_matvec)
+        a = _block_total(partials)
+        _run_rows(chunks, lanczos_update)
+        b = math.sqrt(_block_total(partials))
         alpha[j], beta[j] = a, b
         theta, s = eigh_tridiagonal(alpha[:j + 1], beta[:j], select="i",
                                     select_range=(j, j), check_finite=False)
@@ -328,8 +450,8 @@ def largest_eigenvalue(L) -> float:
         estimate = b * abs(s[j])
         if estimate <= tol * theta or b == 0.0:
             break
-        w *= 1.0 / b
-        q_prev, q = q, w
+        q_prev *= 1.0 / b
+        q_prev, q = q, q_prev
     else:
         raise NumericalFailureError(
             "Lanczos iteration for the largest eigenvalue did not converge",
@@ -338,20 +460,29 @@ def largest_eigenvalue(L) -> float:
         )
 
     # Pass 2: the same vectors again, with the same arithmetic, summed into x.
-    x = s[0] * q0
-    q_prev, q, b = np.zeros(n), q0, 0.0
+    def regenerate(start, stop, rows):
+        w = rows @ q
+        out = q_prev[start:stop]
+        out *= b
+        w -= out
+        np.multiply(q[start:stop], a, out=out)
+        w -= out
+        w *= 1.0 / b_next
+        out[...] = w
+        w *= s_next
+        x[start:stop] += w
+
+    x = np.multiply(s[0], q0, out=q)  # pass 1's vectors hold x and the new q_prev
+    q_prev.fill(0.0)
+    q, b = q0, 0.0
     for i in range(j):
-        w = L @ q
-        w -= b * q_prev
-        w -= alpha[i] * q
-        b = beta[i]
-        w *= 1.0 / b
-        q_prev, q = q, w
-        x += s[i + 1] * q
+        a, b_next, s_next = alpha[i], beta[i], s[i + 1]
+        _run_rows(chunks, regenerate)
+        q_prev, q, b = q, q_prev, b_next
 
     lx = L @ x
-    xx = float(x @ x)
-    theta = float(x @ lx) / xx
-    lx -= theta * x
-    res = float(np.linalg.norm(lx)) / np.sqrt(xx)
+    xx = _dot(x, x, partials)
+    theta = _dot(x, lx, partials) / xx
+    lx -= np.multiply(theta, x, out=q)
+    res = math.sqrt(_dot(lx, lx, partials)) / math.sqrt(xx)
     return float(np.ldexp((theta + res) * (1.0 + _EIG_TOL), e))

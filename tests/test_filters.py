@@ -1,10 +1,19 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spheregraph
+from spheregraph import graphs
 from spheregraph.errors import InvalidArgumentError
 from spheregraph.filters import (
+    FILTER_BASES,
     FilterCoeffs,
     chebyshev_from_monomial,
     filter_apply,
@@ -24,15 +33,19 @@ from spheregraph.samplings import (
     equiangular_sampling,
     healpix_sampling,
     icosahedral_sampling,
+    random_uniform_sampling,
     rotation_permutation,
     z_rotation_matrix,
 )
 
 
+def gaussian_lap(s, k=8):
+    return laplacian(build_graph(s, k, WeightScheme("gaussian", heuristic_kernel_width(s, k))))
+
+
 @pytest.fixture(scope="module")
 def small_lap():
-    s = healpix_sampling(2)
-    lap = laplacian(build_graph(s, 8, WeightScheme("gaussian", heuristic_kernel_width(s, 8))))
+    lap = gaussian_lap(healpix_sampling(2))
     return lap, largest_eigenvalue(lap) * 1.01
 
 
@@ -108,10 +121,23 @@ class TestFilterApply:
         with pytest.raises(InvalidArgumentError):
             filter_apply(lap, FilterCoeffs("monomial", [1.0]), np.ones(5))
 
+    @pytest.mark.parametrize("order", [0, 3])
+    @pytest.mark.parametrize("basis", FILTER_BASES)
+    def test_non_square_operator_rejected(self, basis, order):
+        # before any matvec: a 5 x 7 L used to fail inside scipy's matvec, or
+        # at order 0 return c0 f as if it were square
+        h = FilterCoeffs(basis, np.arange(1.0, order + 2), 2.0 if basis == "chebyshev" else None)
+        matrix = sp.csr_matrix(np.ones((5, 7)))
+        op = CountingOperator(matrix)
+        for operator in (matrix, op):
+            with pytest.raises(InvalidArgumentError, match="square"):
+                filter_apply(operator, h, np.ones(5))
+        assert op.count == 0
+
     def test_commutes_with_automorphism_permutation(self):
         # the exact fragment of rotation equivariance: z-rotation by pi/2
         s = healpix_sampling(4, "ring")
-        lap = laplacian(build_graph(s, 8, WeightScheme("gaussian", heuristic_kernel_width(s, 8))))
+        lap = gaussian_lap(s)
         perm = rotation_permutation(s, z_rotation_matrix(np.pi / 2))
         rng = np.random.default_rng(5)
         h = FilterCoeffs("monomial", rng.standard_normal(5))
@@ -119,6 +145,176 @@ class TestFilterApply:
         lhs = filter_apply(lap, h, f)[perm]
         rhs = filter_apply(lap, h, f[perm])
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-10 * np.abs(rhs).max())
+
+
+def serial_filter(L, h, f):
+    """filter_apply's recurrences as they ran on one core, whole vectors at a time."""
+    c = h.coeffs
+    if h.basis == "monomial":
+        y = c[0] * f
+        p = f
+        for alpha in c[1:]:
+            p = L @ p
+            y = y + alpha * p
+        return y
+    scale = 2.0 / h.lambda_max
+    t_prev = f
+    y = c[0] * f
+    if h.order >= 1:
+        t_curr = scale * (L @ f) - f
+        y = y + c[1] * t_curr
+        for alpha in c[2:]:
+            t_next = 2.0 * (scale * (L @ t_curr) - t_curr) - t_prev
+            t_prev, t_curr = t_curr, t_next
+            y = y + alpha * t_curr
+    return y
+
+
+@pytest.fixture(scope="module")
+def nside64_lap():
+    return gaussian_lap(healpix_sampling(64))
+
+
+def filters_of(lap, lam, seed=11, order=15):
+    """A monomial and a Chebyshev filter of `order` on a random signal."""
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal(order + 1)
+    f = rng.standard_normal(lap.shape[0])
+    return f, (FilterCoeffs("monomial", coeffs / (0.5 * lam) ** np.arange(order + 1)),
+               FilterCoeffs("chebyshev", coeffs, lam))
+
+
+class TestRowChunks:
+    """Filters and the Lanczos bound run each step on row chunks, one per
+    core: filter outputs match the serial recurrences bit for bit and the
+    bound is the same float for any number of cores (or of BLAS threads)."""
+
+    CORES = (1, 2, 3)
+
+    @pytest.fixture
+    def chunked(self, monkeypatch):
+        """Set the core count and the block size; returns the setter."""
+        def chunk(cores, rows=None):
+            monkeypatch.setattr(graphs, "_cores", lambda: cores)
+            if rows is not None:
+                monkeypatch.setattr(graphs, "_REDUCE_ROWS", rows)
+        return chunk
+
+    @pytest.mark.parametrize("cores", CORES)
+    def test_chunks_are_whole_blocks_on_shared_arrays(self, chunked, cores):
+        chunked(cores, 40)
+        lap = gaussian_lap(healpix_sampling(8))  # 768 rows: 19 blocks of 40 and a tail of 8
+        chunks = graphs._row_chunks(lap, lap.shape[0])
+        assert len(chunks) == cores
+        assert [c[0] for c in chunks] + [768] == [0] + [c[1] for c in chunks]
+        v = np.random.default_rng(0).standard_normal(768)
+        for start, stop, rows in chunks:
+            assert start % 40 == 0 and (stop % 40 == 0 or stop == 768)
+            if cores > 1:
+                assert np.shares_memory(rows.data, lap.data)
+                assert np.shares_memory(rows.indices, lap.indices)
+            np.testing.assert_array_equal(rows @ v, (lap @ v)[start:stop])
+
+    @pytest.mark.parametrize("sampling", [lambda: healpix_sampling(8), lambda: icosahedral_sampling(2),
+                                          lambda: equiangular_sampling(12)],
+                             ids=["healpix-8", "icosahedral-2", "equiangular-12"])
+    def test_filters_match_serial_for_every_core_count(self, chunked, sampling):
+        lap = gaussian_lap(sampling())
+        f, hs = filters_of(lap, 8.0)
+        for h in hs:
+            want = serial_filter(lap, h, f)
+            outs = []
+            for cores in self.CORES:
+                chunked(cores, 24)
+                outs.append(filter_apply(lap, h, f))
+                assert np.array_equal(outs[-1], want), (h.basis, cores)
+            assert all(np.array_equal(out, outs[0]) for out in outs)
+
+    @pytest.mark.parametrize("sampling, k", [(lambda: healpix_sampling(8), 8),
+                                             (lambda: random_uniform_sampling(300, seed=0), 40)],
+                             ids=["healpix-8-k8", "random-300-k40"])
+    def test_bound_same_for_every_core_count(self, chunked, sampling, k):
+        lap = gaussian_lap(sampling(), k)
+        bounds = []
+        for cores in self.CORES:
+            chunked(cores, 24)
+            bounds.append(largest_eigenvalue(lap))
+        assert bounds == [bounds[0]] * len(bounds)
+        top = np.linalg.eigvalsh(lap.toarray()).max()
+        assert top <= bounds[0] <= top * (1 + 1e-5)
+
+    def test_nside64_at_the_real_block_size(self, chunked, nside64_lap):
+        # 49,152 rows: three 2^14-row blocks, so two and three cores both split
+        lap = nside64_lap
+        bounds, outs = [], []
+        for cores in self.CORES:
+            chunked(cores)
+            assert len(graphs._row_chunks(lap, lap.shape[0])) == cores
+            bounds.append(largest_eigenvalue(lap))
+            f, hs = filters_of(lap, bounds[0])
+            outs.append([filter_apply(lap, h, f) for h in hs])
+        assert bounds == [bounds[0]] * 3
+        for i, h in enumerate(hs):
+            want = serial_filter(lap, h, f)
+            assert all(np.array_equal(per_core[i], want) for per_core in outs), h.basis
+
+    def test_operators_that_are_not_csr_run_whole(self, chunked, small_lap):
+        chunked(3, 8)
+        lap, lam = small_lap
+        f, hs = filters_of(lap, lam, order=4)
+        for h in hs:
+            op = CountingOperator(lap)
+            assert np.array_equal(filter_apply(op, h, f), serial_filter(lap, h, f))
+            assert op.count == h.order
+            dense = lap.toarray()
+            assert np.array_equal(filter_apply(dense, h, f), serial_filter(dense, h, f))
+
+    def test_more_chunks_than_cores_under_fast_switching(self, chunked, monkeypatch):
+        # 8 chunks on a fresh pool of 7 threads, switching every microsecond:
+        # a lost or misplaced row update would break bit equality
+        lap = gaussian_lap(healpix_sampling(8))
+        f, hs = filters_of(lap, 8.0)
+        want = [serial_filter(lap, h, f) for h in hs]
+        chunked(8, 16)
+        monkeypatch.setattr(graphs, "_POOL", None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                got = [filter_apply(lap, h, f) for h in hs]
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            chunked(8, 40)  # the bound depends on the block size, not on the chunks
+            bound = largest_eigenvalue(lap)
+            chunked(1)
+            assert bound == largest_eigenvalue(lap)
+        finally:
+            sys.setswitchinterval(interval)
+            if graphs._POOL is not None:
+                graphs._POOL.shutdown()
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+    def test_forked_child_makes_its_own_pool(self, chunked):
+        # the child inherits the pool object but none of its threads
+        chunked(2, 24)
+        lap = gaussian_lap(healpix_sampling(8))
+        want = largest_eigenvalue(lap)  # the parent's pool now exists
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply_async(largest_eigenvalue, (lap,)).get(timeout=60) == want
+
+    def test_bound_same_on_one_blas_thread(self, nside64_lap):
+        # numpy's BLAS sums a dot product in an order that depends on its
+        # thread count; the bound sums without BLAS
+        code = ("from spheregraph import graphs, samplings; "
+                "s = samplings.healpix_sampling(64); "
+                "t = graphs.heuristic_kernel_width(s, 8); "
+                "g = graphs.build_graph(s, 8, graphs.WeightScheme('gaussian', t)); "
+                "print(repr(graphs.largest_eigenvalue(graphs.laplacian(g))))")
+        src = os.path.dirname(os.path.dirname(spheregraph.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert float(out) == largest_eigenvalue(nside64_lap)
 
 
 class TestBasisChange:

@@ -29,11 +29,12 @@ plan verifies the declared symmetry on the points once, and keeps one
 Cholesky factor per class instead of one of the whole m x m Gram matrix. On
 samplings whose pixels lie on iso-latitude rings (HEALPix ring and nested,
 equiangular) it keeps B factored into per-ring Legendre values and per-pixel
-cos m phi / sin m phi (_RingBasis), synthesizes ring by ring and fills the
-class blocks one degree's block column at a time, never holding an
-n x (lmax+1)^2 array; other samplings keep that dense array (_DenseBasis) and
-form each block with dsyrk on the class's columns. _sampled_basis makes that
-choice and the memory check for every user of B on a sampling.
+cos m phi / sin m phi (_RingBasis) and synthesizes ring by ring, never
+holding an n x (lmax+1)^2 array; other samplings keep that dense array
+(_DenseBasis). _sampled_basis makes that choice and the memory check for
+every user of B on a sampling. Both bases form G's class blocks the same way
+(_gram_blocks): dsyrk on slabs of a class's columns B[pixels, rows], which
+each basis gathers from what it holds.
 """
 
 from __future__ import annotations
@@ -412,26 +413,16 @@ class _DenseBasis:
 
     def __init__(self, s: Sampling, lmax: int):
         self.matrix = evaluate_basis(s, lmax)
+        self.n = s.n
 
     @staticmethod
     def nbytes(s: Sampling, lmax: int) -> int:
         """Bytes of the n x m array a dense basis holds."""
         return 8 * s.n * (lmax + 1) ** 2
 
-    def gram(self, classes: list) -> list:
-        """The upper triangle of each class's block of G = B^T B, strict lower
-        triangle zero: BLAS dsyrk on the class's columns, summed over slabs of
-        a quarter as many pixels as the class has rows (at least 64), so that
-        the gathered columns stay a fraction of the block."""
-        blocks = []
-        for rows in classes:
-            block = np.zeros((rows.size, rows.size), order="F")  # dsyrk and the factor work in place
-            step = max(rows.size // 4, 64)
-            for start in range(0, self.matrix.shape[0], step):
-                slab = self.matrix[start:start + step, rows]
-                block = sla.blas.dsyrk(1.0, slab.T, beta=1.0, c=block, lower=0, overwrite_c=1)
-            blocks.append(block)
-        return blocks
+    def submatrix(self, pixels: slice, rows: np.ndarray) -> np.ndarray:
+        """B[pixels, rows], C-contiguous."""
+        return self.matrix[pixels].take(rows, axis=1)
 
     def synthesize(self, table: np.ndarray) -> np.ndarray:
         return self.matrix @ table
@@ -456,9 +447,13 @@ class _RingBasis:
     sums over l for each order (one batched GEMM for the cos orders, one for
     the sin orders) and then over orders for each ring (one batched GEMM over
     the rings); the adjoint is the transpose of the two steps. The pixel
-    order (ring or nested) is only the map from pixels to slots. G = B^T B
-    comes from the adjoint's two steps applied to B's own columns, one
-    degree's block column B^T B_l at a time, so no n x m array is held.
+    order (ring or nested) is only the map from pixels to slots.
+    submatrix(pixels, rows) gathers B's entries as each pixel's ring Legendre
+    values times its cos/sin columns: the slabs _gram_blocks runs dsyrk on,
+    and (over all pixels) the columns of a degree range. At HEALPix nside 32
+    (lmax 95) a plan built that way took 2.5-2.8 s, where forming G one
+    degree's block column at a time through the adjoint's two steps took
+    3.7-4.4 s.
     """
 
     def __init__(self, s: Sampling, lmax: int):
@@ -499,37 +494,6 @@ class _RingBasis:
         counts = np.unique(s.points[:, 2], return_counts=True)[1]
         return 8 * (counts.size * ((lmax + 1) ** 2 + int(counts.max()) * (2 * lmax + 1)) + 2 * s.n)
 
-    def gram(self, classes: list) -> list:
-        """The upper triangle of each class's block of G = B^T B, strict lower
-        triangle zero, filled one degree's block column B^T B_l at a time.
-
-        B_l is formed straight in the slot layout, each ring's Legendre values
-        times its cos/sin columns, so the adjoint's two steps run on it without
-        a pixel-ordered n x (2l+1) copy of the columns. Each class takes its
-        rows of degrees <= l from the block column; a class's degree-l rows are
-        consecutive within the class, since both keep flat order.
-        """
-        blocks = [np.zeros((rows.size, rows.size), order="F") for rows in classes]
-        # each class's positions at the first row of every degree
-        edges = [np.searchsorted(rows, np.arange(self.lmax + 2) ** 2) for rows in classes]
-        for l in range(self.lmax + 1):
-            sl = degree_slice(l)
-            _, m, _ = _row_map(l, l)
-            slots = self._trig[:, :, self._trig_column(m)]
-            slots *= self._lam[np.abs(m), :, l].T[:, None, :]
-            ring_sums = np.matmul(self._trig.transpose(0, 2, 1), slots)
-            del slots  # each step's input is freed before the next one allocates
-            by_order = self._legendre_adjoint(ring_sums).reshape(-1, sl.stop - sl.start)
-            del ring_sums
-            for rows, block, edge in zip(classes, blocks, edges):
-                lo, hi = edge[l], edge[l + 1]
-                if lo < hi:
-                    cols = rows[lo:hi] - sl.start  # its degree-l rows, counted within the degree
-                    block[:hi, lo:hi] = by_order[np.ix_(self._table_row[rows[:hi]], cols)]
-                    block[lo:hi, lo:hi] = np.triu(block[lo:hi, lo:hi])
-            del by_order
-        return blocks
-
     def synthesize(self, table: np.ndarray) -> np.ndarray:
         orders = self.lmax + 1
         u = table.reshape(table.shape[0], -1)
@@ -569,12 +533,23 @@ class _RingBasis:
         np.matmul(lam_t[1:], sums[orders:], out=by_order[orders:])
         return by_order
 
-    def columns(self, lo: int, hi: int) -> np.ndarray:
-        l, m, _ = _row_map(lo, hi)
-        lam = np.ascontiguousarray(self._lam[np.abs(m), :, l].T)  # (rings, columns)
-        out = lam[self._ring]
-        out *= self._trig.reshape(-1, self._trig.shape[2])[np.ix_(self._slot, self._trig_column(m))]
+    def submatrix(self, pixels: slice, rows: np.ndarray) -> np.ndarray:
+        """B[pixels, rows], C-contiguous: each pixel's ring Legendre values times
+        its cos/sin columns, gathered about 2^20 entries at a time, so that the
+        gathered cos/sin columns stay small beside the result."""
+        l, m, _ = _row_map(0, self.lmax)
+        l, m = l[rows], m[rows]
+        lam = np.ascontiguousarray(self._lam[np.abs(m), :, l].T)  # (rings, rows)
+        out = lam[self._ring[pixels]]
+        trig = self._trig.reshape(-1, self._trig.shape[2])
+        slot, column = self._slot[pixels], self._trig_column(m)
+        step = max(1, (1 << 20) // column.size)
+        for start in range(0, slot.size, step):
+            out[start:start + step] *= trig[np.ix_(slot[start:start + step], column)]
         return out
+
+    def columns(self, lo: int, hi: int) -> np.ndarray:
+        return self.submatrix(slice(None), np.arange(lo * lo, (hi + 1) ** 2))
 
     def _trig_column(self, m: np.ndarray) -> np.ndarray:
         """Column of cos(m phi) (m >= 0) or sin(|m| phi) (m < 0) in the trig table."""
@@ -591,6 +566,29 @@ def _sampled_basis(s: Sampling, lmax: int, extra_bytes: int = 0):
     return basis_class(s, lmax)
 
 
+def _slab_pixels(classes: list) -> list:
+    """Pixels in each class's dsyrk slabs: at most a quarter of the entries of
+    all class blocks together, and at least a quarter of the class's rows."""
+    total = sum(rows.size ** 2 for rows in classes)
+    return [max(total // (4 * rows.size), rows.size // 4, 1) for rows in classes]
+
+
+def _gram_blocks(basis, classes: list) -> list:
+    """The upper triangle of each class's block of G = B^T B, strict lower
+    triangle zero: BLAS dsyrk on the class's columns of B, summed over slabs
+    of pixels (_slab_pixels) that the basis gathers, so that neither an
+    n x m nor an m x m array is formed."""
+    blocks = []
+    for rows, step in zip(classes, _slab_pixels(classes)):
+        block = np.zeros((rows.size, rows.size), order="F")  # dsyrk and the factor work in place
+        for start in range(0, basis.n, step):
+            slab = basis.submatrix(slice(start, start + step), rows)
+            block = sla.blas.dsyrk(1.0, slab.T, beta=1.0, c=block, lower=0, overwrite_c=1)
+            del slab  # freed before the next slab is gathered
+        blocks.append(block)
+    return blocks
+
+
 class AnalysisPlan:
     """Factorized least-squares analysis for one (sampling, lmax) pair.
 
@@ -600,10 +598,11 @@ class AnalysisPlan:
     the ridge is 1e-12 relative to the mean Gram diagonal. G couples no two
     classes, so Cholesky fills in nothing between them: the class factors are
     the blocks of G's own factor, each in flat row order. B is kept as
-    _sampled_basis chooses, and it forms the class blocks of G's upper
-    triangle in its own way (by rings, or by dsyrk on each class's columns);
-    no m x m array is formed. One array per class holds its block, then R_c,
-    then R_c^-1. The condition estimate is read from the factors' diagonals
+    _sampled_basis chooses; for either basis _gram_blocks forms the upper
+    triangle of each class block by dsyrk on slabs of the class's columns,
+    and no m x m array is formed. One array per class holds its block, then
+    R_c, then R_c^-1; the memory guard counts them, the largest slab and the
+    basis. The condition estimate is read from the factors' diagonals
     before they are inverted. Callers reach B only through synthesize (B u),
     adjoint (B^T x) and columns (B's columns of a degree range). Tables in and
     out are real-basis tables. Where a sampling theorem holds the ridge solve
@@ -618,15 +617,18 @@ class AnalysisPlan:
                 f"analysis needs (lmax+1)^2 <= n: {ncoef} > {s.n}"
             )
         classes = _symmetry_classes(s, lmax)
-        # beside the basis: one array per class, which holds G_c, then R_c, then R_c^-1
-        self._basis = _sampled_basis(s, lmax, extra_bytes=8 * sum(rows.size ** 2 for rows in classes))
+        # beside the basis: one array per class, which holds G_c, then R_c, then
+        # R_c^-1, and the largest slab of gathered columns
+        slab = max(step * rows.size for rows, step in zip(classes, _slab_pixels(classes)))
+        self._basis = _sampled_basis(
+            s, lmax, extra_bytes=8 * (sum(rows.size ** 2 for rows in classes) + slab))
         _check_symmetry(s)
         self.sampling = s
         self.lmax = lmax
         self._classes = classes
         # upper triangles; the strict lower triangles stay zero from here to
         # R_c^-1, which solve multiplies by whole
-        blocks = self._basis.gram(classes)
+        blocks = _gram_blocks(self._basis, classes)
         ridge = _RIDGE_REL * sum(float(np.trace(block)) for block in blocks) / ncoef
         diag = []
         for block in blocks:

@@ -259,6 +259,16 @@ class TestOptimizeKernelWidth:
         with pytest.raises(InvalidArgumentError, match="engine"):
             optimize_kernel_width(s, 4, [2], EquivarianceConfig(2, 2, 0, 5), engine=engine)
 
+    def test_engine_of_other_pixel_order_rejected_by_both(self):
+        # a ring-order engine on the nested sampling would analyze the
+        # nested signals in ring order
+        s, cfg = healpix_sampling(4, "nested"), EquivarianceConfig(2, 2, 0, 11)
+        engine = SweepEngine(healpix_sampling(4, "ring"), 11)
+        with pytest.raises(InvalidArgumentError, match="engine must be a SweepEngine of this sampling"):
+            mean_equivariance_error(s, 8, WeightScheme("gaussian", 0.02), 3, cfg, engine=engine)
+        with pytest.raises(InvalidArgumentError, match="engine must be a SweepEngine of this sampling"):
+            optimize_kernel_width(s, 8, [3], cfg, engine=engine)
+
     def test_search_calls_nothing_in_scipy_linalg(self, monkeypatch):
         # numpy and scipy each load their own OpenBLAS with its own thread
         # pool; once the plan is built, the objective loop stays on numpy's

@@ -308,13 +308,15 @@ class TestAnalysisSynthesis:
     @pytest.mark.parametrize("make, need, figure", [
         # lmax 255 on a grid of 2048 rings: the ring basis's padded trig table
         # (2048 x 2048 slots x 511), its Legendre table (2048 rings x m), two
-        # pixel maps and the class factors (every |m| is a class of its own)
+        # pixel maps, the class factors (every |m| is a class of its own) and
+        # the largest Gram slab
         pytest.param(lambda: equiangular_sampling(1024),
-                     8 * (2048 * 2048 * 511 + 2048 * 2**16 + 2 * 2**22 + 5_592_576), "17.1",
-                     id="equiangular-1024"),
-        # the dense basis (n m doubles) and one class of m x m
-        pytest.param(lambda: random_uniform_sampling(2**18, 0), 8 * (2**34 + 2**32), "160.0",
-                     id="random-262144"),
+                     8 * (2048 * 2048 * 511 + 2048 * 2**16 + 2 * 2**22 + 5_592_576 + 1_398_144),
+                     "17.1", id="equiangular-1024"),
+        # the dense basis (n m doubles), one class of m x m and a Gram slab
+        # of m / 4 pixels
+        pytest.param(lambda: random_uniform_sampling(2**18, 0), 8 * (2**34 + 2**32 + 2**30),
+                     "168.0", id="random-262144"),
     ])
     def test_dense_plan_memory_cliff_rejected(self, make, need, figure):
         s = make()
@@ -327,8 +329,9 @@ class TestAnalysisSynthesis:
 
     def test_plan_memory_estimate_counts_class_factors(self, monkeypatch):
         # HEALPix nside 64, lmax 191: 12 class factors of at most 4,656 rows
-        # (0.95 GiB) and the ring tables, where one m x m factor alone took
-        # 10.1 GiB. The guard's estimate is read before anything is built.
+        # (0.95 GiB), the largest Gram slab (0.24 GiB) and the ring tables,
+        # where one m x m factor alone took 10.1 GiB. The guard's estimate is
+        # read before anything is built.
         needs = []
 
         def record(need, what):
@@ -338,7 +341,7 @@ class TestAnalysisSynthesis:
         monkeypatch.setattr(harmonics, "check_memory", record)
         with pytest.raises(InvalidArgumentError, match="estimate recorded"):
             AnalysisPlan(healpix_sampling(64), 191)
-        assert needs[0] / 2**30 == pytest.approx(1.2, abs=0.05)
+        assert needs[0] / 2**30 == pytest.approx(1.45, abs=0.05)
 
     def test_dense_synthesis_memory_cliff_rejected(self):
         # synthesis without a plan checks the basis it would hold, as a plan does
@@ -491,6 +494,11 @@ RING_SAMPLINGS = ([(f"healpix-{order}-{nside}", lambda nside=nside, order=order:
                   + [(f"equiangular-{b}", lambda b=b: equiangular_sampling(b)) for b in range(1, 17)])
 
 
+DENSE_SAMPLINGS = ([(f"icosahedral-{level}", lambda level=level: icosahedral_sampling(level))
+                    for level in range(4)]
+                   + [(f"random-{n}", lambda n=n: random_uniform_sampling(n, 0)) for n in (200, 800)])
+
+
 def _ring_cases():
     return [pytest.param(make, part, id=f"{name}-{part}")
             for name, make in RING_SAMPLINGS for part in ("band", "half-band")]
@@ -520,13 +528,21 @@ class TestRingBasis:
         close(plan.adjoint(values[:, 0]), basis.T @ values[:, 0])
         for lo, hi in [(0, lmax), (0, min(lmax, 3)), (lmax, lmax)] + [(l, l) for l in range(lmax)]:
             close(plan.columns(lo, hi), basis[:, lo * lo:(hi + 1) ** 2])
+        # the Gram slabs' gather: pixels 1..n-2 start and end mid-ring in ring
+        # order, and a class's rows are not contiguous
+        for pixels in (slice(1, s.n - 1), slice(None)):
+            for rows in harmonics._symmetry_classes(s, lmax):
+                close(plan._basis.submatrix(pixels, rows), basis[pixels][:, rows])
 
-    @pytest.mark.parametrize("make, part", _ring_cases())
+    @pytest.mark.parametrize("make, part", _ring_cases() + [
+        pytest.param(make, part, id=f"{name}-{part}") for name, make in DENSE_SAMPLINGS
+        for part in ("band", "half-band")])
     def test_gram_matches_dsyrk(self, make, part):
+        # one Gram route for both bases: dsyrk on gathered slabs of each class's columns
         s = make()
         lmax = reliable_band(s) if part == "band" else reliable_band(s) // 2
         classes = harmonics._symmetry_classes(s, lmax)
-        blocks = harmonics._RingBasis(s, lmax).gram(classes)
+        blocks = harmonics._gram_blocks(harmonics._sampled_basis(s, lmax), classes)
         want = sla.blas.dsyrk(1.0, evaluate_basis(s, lmax).T, lower=0)
         for rows, block in zip(classes, blocks, strict=True):
             assert np.abs(block - want[np.ix_(rows, rows)]).max() <= 1e-13 * np.abs(want).max()

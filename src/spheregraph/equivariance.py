@@ -218,16 +218,6 @@ def _check_degree(s: Sampling, l: int):
         )
 
 
-def _checked_engine(engine: Optional[SweepEngine], s: Sampling,
-                    cfg: EquivarianceConfig) -> SweepEngine:
-    """engine, if it was built for this very sampling object; a new one when None."""
-    if engine is None:
-        return SweepEngine(s, _resolve_lmax(s, cfg))
-    if engine.sampling is not s:
-        raise InvalidArgumentError("engine must be a SweepEngine of this sampling")
-    return engine
-
-
 def mean_equivariance_error(s: Sampling, k: int, w: WeightScheme, l: int,
                             cfg: EquivarianceConfig,
                             engine: Optional[SweepEngine] = None) -> MeanError:
@@ -237,7 +227,10 @@ def mean_equivariance_error(s: Sampling, k: int, w: WeightScheme, l: int,
     independent substream, so sweeps may run cells in any order.
     """
     _check_degree(s, l)
-    engine = _checked_engine(engine, s, cfg)
+    if engine is None:
+        engine = SweepEngine(s, _resolve_lmax(s, cfg))
+    elif engine.sampling is not s:
+        raise InvalidArgumentError("engine must be a SweepEngine of this sampling")
     L = laplacian(build_graph(s, k, w))
     ops = engine.degree_ops(L, l)
     draws = engine.draws(k, w.kind, l, cfg)
@@ -302,7 +295,10 @@ def _search_kernel_width(s: Sampling, k: int, degrees: Sequence[int],
         family = GaussianGraphFamily(s, k)
     elif family.sampling is not s or family.k != k:
         raise InvalidArgumentError("family must be GaussianGraphFamily(s, k) of this sampling and k")
-    engine = _checked_engine(engine, s, cfg)
+    if engine is None:
+        engine = SweepEngine(s, _resolve_lmax(s, cfg))
+    elif engine.sampling is not s:
+        raise InvalidArgumentError("engine must be a SweepEngine of this sampling")
     if draws is None:
         draws = {l: engine.draws(k, "gaussian", l, cfg) for l in degrees}
 

@@ -19,7 +19,7 @@ from numpy.polynomial import chebyshev as C
 from numpy.polynomial import polynomial as P
 
 from .errors import InvalidArgumentError
-from .graphs import _row_chunks, _row_pool, _run_rows
+from .graphs import _row_chunks, _run_rows
 from .samplings import Sampling
 
 FILTER_BASES = ("monomial", "chebyshev")
@@ -98,11 +98,10 @@ def filter_apply(L, h: FilterCoeffs, f: np.ndarray) -> np.ndarray:
         y[start:stop] += t
 
     t_prev, t_curr = None, f
-    with _row_pool(chunks) as pool:
-        for alpha in c[1:]:
-            t_next = np.empty(n) if t_prev is None or t_prev is f else t_prev
-            _run_rows(pool, chunks, step)
-            t_prev, t_curr = t_curr, t_next
+    for alpha in c[1:]:
+        t_next = np.empty(n) if t_prev is None or t_prev is f else t_prev
+        _run_rows(chunks, step)
+        t_prev, t_curr = t_curr, t_next
     return y
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Optional
@@ -255,12 +256,23 @@ def heuristic_kernel_width(s: Sampling, k: int, kind: str = "half-mean-square") 
 
 
 # Row chunks of a graph operator. Filters and the Lanczos bound run each step
-# of their recurrences as one task per chunk, the first on the calling thread
-# and the others on a thread pool that each call opens (_row_pool). Every
-# row's matvec and vector updates are the same arithmetic in any chunk, and
-# reductions are summed per fixed _REDUCE_ROWS block, so no result depends on
-# the number of chunks.
+# of their recurrences as one task per chunk on a module thread pool, the
+# first chunk on the calling thread. Every row's matvec and vector updates are
+# the same arithmetic in any chunk, and reductions are summed per fixed
+# _REDUCE_ROWS block, so no result depends on the number of chunks.
 _REDUCE_ROWS = 1 << 14
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's pool threads: it makes its own."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _cores() -> int:
@@ -294,15 +306,16 @@ def _row_chunks(L, n: int) -> list:
     return chunks
 
 
-def _row_pool(chunks: list) -> ThreadPoolExecutor:
-    """A pool for the chunks after the first; it starts no thread for one chunk."""
-    return ThreadPoolExecutor(max(1, len(chunks) - 1), "spheregraph-rows")
-
-
-def _run_rows(pool: ThreadPoolExecutor, chunks: list, task) -> None:
+def _run_rows(chunks: list, task) -> None:
     """task(start, stop, rows) for every chunk: the first on this thread, the
-    others on the pool. Returns once all have finished."""
-    futures = [pool.submit(task, *chunk) for chunk in chunks[1:]]
+    others on the module pool. Returns once all have finished."""
+    global _POOL
+    futures = []
+    if len(chunks) > 1:
+        with _POOL_LOCK:
+            if _POOL is None:
+                _POOL = ThreadPoolExecutor(max(1, _cores() - 1), "spheregraph-rows")
+        futures = [_POOL.submit(task, *chunk) for chunk in chunks[1:]]
     try:
         task(*chunks[0])
     finally:
@@ -422,7 +435,31 @@ def largest_eigenvalue(L) -> float:
         q_prev[start:stop] -= a * q[start:stop]
         _block_dots(q_prev, q_prev, start, stop, partials)
 
-    # Pass 2's task: the same vectors again, with the same arithmetic, summed into x.
+    # Pass 1: alpha and beta only.
+    alpha, beta = np.empty(_EIG_MAX_ITER), np.empty(_EIG_MAX_ITER)
+    q_prev, q, b = np.zeros(n), q0.copy(), 0.0
+    for j in range(_EIG_MAX_ITER):
+        _run_rows(chunks, lanczos_matvec)
+        a = _block_total(partials)
+        _run_rows(chunks, lanczos_update)
+        b = math.sqrt(_block_total(partials))
+        alpha[j], beta[j] = a, b
+        theta, s = eigh_tridiagonal(alpha[:j + 1], beta[:j], select="i",
+                                    select_range=(j, j), check_finite=False)
+        theta, s = float(theta[0]), s[:, 0]
+        estimate = b * abs(s[j])
+        if estimate <= tol * theta or b == 0.0:
+            break
+        q_prev *= 1.0 / b
+        q_prev, q = q, q_prev
+    else:
+        raise NumericalFailureError(
+            "Lanczos iteration for the largest eigenvalue did not converge",
+            {"n": n, "nnz": L.nnz, "scale_exponent": e, "tolerance": tol,
+             "steps": _EIG_MAX_ITER, "ritz_value": theta, "residual_estimate": estimate},
+        )
+
+    # Pass 2: the same vectors again, with the same arithmetic, summed into x.
     def regenerate(start, stop, rows):
         w = rows @ q
         out = q_prev[start:stop]
@@ -435,39 +472,13 @@ def largest_eigenvalue(L) -> float:
         w *= s_next
         x[start:stop] += w
 
-    with _row_pool(chunks) as pool:
-        # Pass 1: alpha and beta only.
-        alpha, beta = np.empty(_EIG_MAX_ITER), np.empty(_EIG_MAX_ITER)
-        q_prev, q, b = np.zeros(n), q0.copy(), 0.0
-        for j in range(_EIG_MAX_ITER):
-            _run_rows(pool, chunks, lanczos_matvec)
-            a = _block_total(partials)
-            _run_rows(pool, chunks, lanczos_update)
-            b = math.sqrt(_block_total(partials))
-            alpha[j], beta[j] = a, b
-            theta, s = eigh_tridiagonal(alpha[:j + 1], beta[:j], select="i",
-                                        select_range=(j, j), check_finite=False)
-            theta, s = float(theta[0]), s[:, 0]
-            estimate = b * abs(s[j])
-            if estimate <= tol * theta or b == 0.0:
-                break
-            q_prev *= 1.0 / b
-            q_prev, q = q, q_prev
-        else:
-            raise NumericalFailureError(
-                "Lanczos iteration for the largest eigenvalue did not converge",
-                {"n": n, "nnz": L.nnz, "scale_exponent": e, "tolerance": tol,
-                 "steps": _EIG_MAX_ITER, "ritz_value": theta, "residual_estimate": estimate},
-            )
-
-        # Pass 2: the Ritz vector x.
-        x = np.multiply(s[0], q0, out=q)  # pass 1's vectors hold x and the new q_prev
-        q_prev.fill(0.0)
-        q, b = q0, 0.0
-        for i in range(j):
-            a, b_next, s_next = alpha[i], beta[i], s[i + 1]
-            _run_rows(pool, chunks, regenerate)
-            q_prev, q, b = q, q_prev, b_next
+    x = np.multiply(s[0], q0, out=q)  # pass 1's vectors hold x and the new q_prev
+    q_prev.fill(0.0)
+    q, b = q0, 0.0
+    for i in range(j):
+        a, b_next, s_next = alpha[i], beta[i], s[i + 1]
+        _run_rows(chunks, regenerate)
+        q_prev, q, b = q, q_prev, b_next
 
     lx = L @ x
     xx = _dot(x, x, partials)

@@ -566,21 +566,18 @@ def _sampled_basis(s: Sampling, lmax: int, extra_bytes: int = 0):
     return basis_class(s, lmax)
 
 
-def _slab_pixels(classes: list) -> list:
-    """Pixels in each class's dsyrk slabs: at most a quarter of the entries of
-    all class blocks together, and at least a quarter of the class's rows."""
-    total = sum(rows.size ** 2 for rows in classes)
-    return [max(total // (4 * rows.size), rows.size // 4, 1) for rows in classes]
-
-
 def _gram_blocks(basis, classes: list) -> list:
     """The upper triangle of each class's block of G = B^T B, strict lower
     triangle zero: BLAS dsyrk on the class's columns of B, summed over slabs
-    of pixels (_slab_pixels) that the basis gathers, so that neither an
-    n x m nor an m x m array is formed."""
+    of pixels that the basis gathers, so that neither an n x m nor an m x m
+    array is formed. A slab holds at most a quarter of the entries of all
+    class blocks together, and at least a quarter as many pixels as the
+    class has rows."""
+    total = sum(rows.size ** 2 for rows in classes)
     blocks = []
-    for rows, step in zip(classes, _slab_pixels(classes)):
+    for rows in classes:
         block = np.zeros((rows.size, rows.size), order="F")  # dsyrk and the factor work in place
+        step = max(total // (4 * rows.size), rows.size // 4, 1)
         for start in range(0, basis.n, step):
             slab = basis.submatrix(slice(start, start + step), rows)
             block = sla.blas.dsyrk(1.0, slab.T, beta=1.0, c=block, lower=0, overwrite_c=1)
@@ -601,8 +598,8 @@ class AnalysisPlan:
     _sampled_basis chooses; for either basis _gram_blocks forms the upper
     triangle of each class block by dsyrk on slabs of the class's columns,
     and no m x m array is formed. One array per class holds its block, then
-    R_c, then R_c^-1; the memory guard counts them, the largest slab and the
-    basis. The condition estimate is read from the factors' diagonals
+    R_c, then R_c^-1; the memory guard counts them, a slab of at most a quarter of
+    their entries and the basis. The condition estimate is read from the factors' diagonals
     before they are inverted. Callers reach B only through synthesize (B u),
     adjoint (B^T x) and columns (B's columns of a degree range). Tables in and
     out are real-basis tables. Where a sampling theorem holds the ridge solve
@@ -618,10 +615,8 @@ class AnalysisPlan:
             )
         classes = _symmetry_classes(s, lmax)
         # beside the basis: one array per class, which holds G_c, then R_c, then
-        # R_c^-1, and the largest slab of gathered columns
-        slab = max(step * rows.size for rows, step in zip(classes, _slab_pixels(classes)))
-        self._basis = _sampled_basis(
-            s, lmax, extra_bytes=8 * (sum(rows.size ** 2 for rows in classes) + slab))
+        # R_c^-1, and a slab of at most a quarter of their entries
+        self._basis = _sampled_basis(s, lmax, extra_bytes=10 * sum(c.size ** 2 for c in classes))
         _check_symmetry(s)
         self.sampling = s
         self.lmax = lmax

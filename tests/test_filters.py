@@ -276,6 +276,7 @@ class TestRowChunks:
         f, hs = filters_of(lap, 8.0)
         want = [serial_filter(lap, h, f) for h in hs]
         chunked(8, 16)
+        monkeypatch.setattr(graphs, "_POOL", None)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -288,6 +289,8 @@ class TestRowChunks:
             assert bound == largest_eigenvalue(lap)
         finally:
             sys.setswitchinterval(interval)
+            if graphs._POOL is not None:
+                graphs._POOL.shutdown()
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
     def test_forked_child_makes_its_own_pool(self, chunked):

@@ -309,7 +309,7 @@ class TestAnalysisSynthesis:
         # lmax 255 on a grid of 2048 rings: the ring basis's padded trig table
         # (2048 x 2048 slots x 511), its Legendre table (2048 rings x m), two
         # pixel maps, the class factors (every |m| is a class of its own) and
-        # the largest Gram slab
+        # a Gram slab of a quarter of their entries
         pytest.param(lambda: equiangular_sampling(1024),
                      8 * (2048 * 2048 * 511 + 2048 * 2**16 + 2 * 2**22 + 5_592_576 + 1_398_144),
                      "17.1", id="equiangular-1024"),
@@ -329,9 +329,9 @@ class TestAnalysisSynthesis:
 
     def test_plan_memory_estimate_counts_class_factors(self, monkeypatch):
         # HEALPix nside 64, lmax 191: 12 class factors of at most 4,656 rows
-        # (0.95 GiB), the largest Gram slab (0.24 GiB) and the ring tables,
-        # where one m x m factor alone took 10.1 GiB. The guard's estimate is
-        # read before anything is built.
+        # (0.95 GiB), a Gram slab of a quarter of their entries (0.24 GiB)
+        # and the ring tables, where one m x m factor alone took 10.1 GiB.
+        # The guard's estimate is read before anything is built.
         needs = []
 
         def record(need, what):

@@ -255,11 +255,12 @@ def heuristic_kernel_width(s: Sampling, k: int, kind: str = "half-mean-square") 
     return _width(_heuristic_widths(indptr, dists, k), kind)
 
 
-# Row chunks of a graph operator. Filters and the Lanczos bound run each step
-# of their recurrences as one task per chunk on a module thread pool, the
-# first chunk on the calling thread. Every row's matvec and vector updates are
-# the same arithmetic in any chunk, and reductions are summed per fixed
-# _REDUCE_ROWS block, so no result depends on the number of chunks.
+# Row chunks of a graph operator, each a whole number of _REDUCE_ROWS-row
+# blocks. Filters and the Lanczos bound run each step of their recurrences as
+# one task per chunk on a module thread pool, the first chunk on the calling
+# thread. Every row's matvec and vector updates are the same arithmetic in any
+# chunk, and reductions run over whole vectors between tasks, so no result
+# depends on the number of chunks or on the block size.
 _REDUCE_ROWS = 1 << 14
 _POOL = None
 _POOL_LOCK = threading.Lock()
@@ -324,28 +325,10 @@ def _run_rows(chunks: list, task) -> None:
         future.result()
 
 
-def _block_dots(u, v, start: int, stop: int, out: np.ndarray) -> None:
-    """out[i] = u . v over rows [start, stop) of each _REDUCE_ROWS-row block i
-    that they cover, by np.einsum (no BLAS call, whose sums depend on its
-    thread count). start is a block boundary; stop is one or the end."""
-    for lo in range(start, stop, _REDUCE_ROWS):
-        hi = min(lo + _REDUCE_ROWS, stop)
-        out[lo // _REDUCE_ROWS] = np.einsum("i,i->", u[lo:hi], v[lo:hi])
-
-
-def _block_total(partials: np.ndarray) -> float:
-    """The per-block partial sums added in block order (sum() compensates
-    from Python 3.12 on, which would tie results to the interpreter)."""
-    total = 0.0
-    for p in partials.tolist():
-        total += p
-    return total
-
-
-def _dot(u, v, partials: np.ndarray) -> float:
-    """u . v summed per block in block order; `partials` holds one per block."""
-    _block_dots(u, v, 0, u.size, partials)
-    return _block_total(partials)
+def _dot(u, v) -> float:
+    """u . v over the whole vectors by np.einsum, which calls no BLAS (whose
+    sums depend on its thread count)."""
+    return float(np.einsum("i,i->", u, v))
 
 
 # Relative accuracy and safety inflation of largest_eigenvalue, and the
@@ -367,13 +350,14 @@ def largest_eigenvalue(L) -> float:
     so the basis is never stored: each pass holds three n-vectors and the
     certificate four.
 
-    Each step runs on L's row chunks (_row_chunks), one task per core. Pass 1
-    runs the matvec and the beta q_prev update, then the alpha q update;
-    pass 2 regenerates each chunk's rows of q and adds them into x. Every dot
-    product and norm, the start vector's and the certificate's included, is
-    summed per _REDUCE_ROWS-row block by np.einsum and the blocks added in
-    order, so alpha, beta and the result depend on n only, not on the number
-    of chunks or of BLAS threads.
+    Each step's matvec runs on L's row chunks (_row_chunks), one task per
+    core: pass 1's task also applies the beta q_prev update, and pass 2's
+    regenerates each chunk's rows of q and adds them into x. Between tasks,
+    on the calling thread, pass 1 applies the alpha q update to the whole
+    vector, and every dot product and norm, the start vector's and the
+    certificate's included, is one np.einsum over the whole vectors (no
+    BLAS call). So alpha, beta and the result depend on L alone, not on
+    the number of chunks, the block size or the BLAS thread count.
 
     The result is certified from x itself: with theta' = x'Lx / x'x and
     r = |L x - theta' x| / |x|, some eigenvalue of L lies within r of
@@ -415,34 +399,27 @@ def largest_eigenvalue(L) -> float:
     e = int(np.frexp(amax)[1])
     L.data = np.ldexp(L.data, -e)
     chunks = _row_chunks(L, n)
-    partials = np.empty(-(-n // _REDUCE_ROWS))
     q0 = np.cos(np.arange(n, dtype=np.float64) + 0.5)
-    q0 /= math.sqrt(_dot(q0, q0, partials))
+    q0 /= math.sqrt(_dot(q0, q0))
     tol = 0.1 * _EIG_TOL
 
-    # Each task writes its rows of w = L q - b q_prev, then of w - a q, over
-    # its rows of q_prev, which no other task reads; a step ends by scaling w
-    # to the next q. A task allocates one chunk-sized array.
+    # Each task writes its rows of w = L q - b q_prev over its rows of q_prev,
+    # which no other task reads, and allocates one chunk-sized array.
     def lanczos_matvec(start, stop, rows):
         w = rows @ q
         out = q_prev[start:stop]
         out *= b
         w -= out
         out[...] = w
-        _block_dots(q, q_prev, start, stop, partials)
 
-    def lanczos_update(start, stop, rows):
-        q_prev[start:stop] -= a * q[start:stop]
-        _block_dots(q_prev, q_prev, start, stop, partials)
-
-    # Pass 1: alpha and beta only.
+    # Pass 1: alpha and beta only; q_prev holds w until it is scaled to the next q.
     alpha, beta = np.empty(_EIG_MAX_ITER), np.empty(_EIG_MAX_ITER)
     q_prev, q, b = np.zeros(n), q0.copy(), 0.0
     for j in range(_EIG_MAX_ITER):
         _run_rows(chunks, lanczos_matvec)
-        a = _block_total(partials)
-        _run_rows(chunks, lanczos_update)
-        b = math.sqrt(_block_total(partials))
+        a = _dot(q, q_prev)
+        q_prev -= a * q
+        b = math.sqrt(_dot(q_prev, q_prev))
         alpha[j], beta[j] = a, b
         theta, s = eigh_tridiagonal(alpha[:j + 1], beta[:j], select="i",
                                     select_range=(j, j), check_finite=False)
@@ -481,8 +458,8 @@ def largest_eigenvalue(L) -> float:
         q_prev, q, b = q, q_prev, b_next
 
     lx = L @ x
-    xx = _dot(x, x, partials)
-    theta = _dot(x, lx, partials) / xx
+    xx = _dot(x, x)
+    theta = _dot(x, lx) / xx
     lx -= np.multiply(theta, x, out=q)
-    res = math.sqrt(_dot(lx, lx, partials)) / math.sqrt(xx)
+    res = math.sqrt(_dot(lx, lx)) / math.sqrt(xx)
     return float(np.ldexp((theta + res) * (1.0 + _EIG_TOL), e))

@@ -517,21 +517,16 @@ class _RingBasis:
         ring_sums = np.matmul(self._trig.transpose(0, 2, 1),
                               slots.reshape(self._trig.shape[:2] + (-1,)))
         del slots  # each step's input is freed before the next one allocates
-        by_order = self._legendre_adjoint(ring_sums)
-        del ring_sums
-        out = by_order.reshape(-1, x.shape[1])[self._table_row]
-        return out.reshape((out.shape[0],) + values.shape[1:])
-
-    def _legendre_adjoint(self, ring_sums: np.ndarray) -> np.ndarray:
-        """The adjoint's sum over rings for each order: per-ring cos/sin sums of
-        shape (rings, 2 lmax + 1, cols) to by-order blocks (2 lmax + 1, lmax + 1, cols)."""
+        # the sum over rings for each order, into by-order blocks (2 lmax + 1, lmax + 1, cols)
         orders = self.lmax + 1
         sums = ring_sums.transpose(1, 0, 2)  # (2 lmax + 1, rings, cols)
         lam_t = self._lam.transpose(0, 2, 1)
-        by_order = np.empty((2 * orders - 1, orders, ring_sums.shape[2]), ring_sums.dtype)
+        by_order = np.empty((2 * orders - 1, orders, x.shape[1]), dtype)
         np.matmul(lam_t, sums[:orders], out=by_order[:orders])
         np.matmul(lam_t[1:], sums[orders:], out=by_order[orders:])
-        return by_order
+        del ring_sums, sums
+        out = by_order.reshape(-1, x.shape[1])[self._table_row]
+        return out.reshape((out.shape[0],) + values.shape[1:])
 
     def submatrix(self, pixels: slice, rows: np.ndarray) -> np.ndarray:
         """B[pixels, rows], C-contiguous: each pixel's ring Legendre values times

@@ -246,12 +246,13 @@ def read_signal_csv(path) -> np.ndarray:
 
 def write_filter_csv(h: FilterCoeffs, path,
                      comments: Optional[Sequence[str]] = None) -> None:
-    """One data row: `basis,P,lambda_max,alpha_0..alpha_P`."""
+    """One data row: `basis,P,lambda_max,alpha_0..alpha_P`, formatted here and
+    written as one field, since _write_table pays per column."""
     names = ",".join(f"alpha_{i}" for i in range(h.order + 1))
-    lam, lam_format = ("", "%s") if h.lambda_max is None else (h.lambda_max, "%.17g")
-    row_format = f"%s,%d,{lam_format}" + ",%.17g" * (h.order + 1)
-    _write_table(path, comments, f"basis,P,lambda_max,{names}", row_format,
-                 [[h.basis], [h.order], [lam], *h.coeffs.reshape(-1, 1)])
+    lam = "" if h.lambda_max is None else "%.17g" % h.lambda_max
+    alphas = map("%.17g".__mod__, h.coeffs.tolist())
+    row = ",".join(["%s" % h.basis, "%d" % h.order, lam, *alphas])
+    _write_table(path, comments, f"basis,P,lambda_max,{names}", "%s", [[row]])
 
 
 def read_filter_csv(path) -> FilterCoeffs:

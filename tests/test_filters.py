@@ -187,9 +187,11 @@ def filters_of(lap, lam, seed=11, order=15):
 class TestRowChunks:
     """Filters and the Lanczos bound run each step on row chunks, one per
     core: filter outputs match the serial recurrences bit for bit and the
-    bound is the same float for any number of cores (or of BLAS threads)."""
+    bound is the same float for any number of cores, block size or number of
+    BLAS threads."""
 
     CORES = (1, 2, 3)
+    BLOCKS = (24, 40, graphs._REDUCE_ROWS)
 
     @pytest.fixture
     def chunked(self, monkeypatch):
@@ -236,9 +238,10 @@ class TestRowChunks:
     def test_bound_same_for_every_core_count(self, chunked, sampling, k):
         lap = gaussian_lap(sampling(), k)
         bounds = []
-        for cores in self.CORES:
-            chunked(cores, 24)
-            bounds.append(largest_eigenvalue(lap))
+        for rows in self.BLOCKS:
+            for cores in self.CORES:
+                chunked(cores, rows)
+                bounds.append(largest_eigenvalue(lap))
         assert bounds == [bounds[0]] * len(bounds)
         top = np.linalg.eigvalsh(lap.toarray()).max()
         assert top <= bounds[0] <= top * (1 + 1e-5)
@@ -283,7 +286,7 @@ class TestRowChunks:
             for _ in range(3):
                 got = [filter_apply(lap, h, f) for h in hs]
                 assert all(np.array_equal(a, b) for a, b in zip(got, want))
-            chunked(8, 40)  # the bound depends on the block size, not on the chunks
+            chunked(8, 40)
             bound = largest_eigenvalue(lap)
             chunked(1)
             assert bound == largest_eigenvalue(lap)

@@ -55,7 +55,9 @@ class Graph:
 
 
 _TIE_REL_TOL = 1e-12
-_BLOCK_ROWS = 1 << 14  # vertices whose kNN query, or whose symmetrization, runs at a time
+_BLOCK_ROWS = 1 << 14  # vertices whose symmetrization runs at a time
+_KNN_ROWS = 1 << 12  # vertices that one kNN task queries, widens and ranks
+_KNN_PAD = 1  # the start window: k + 1 + _KNN_PAD entries a vertex, itself included
 
 
 def knn_support(s: Sampling, k: int):
@@ -70,13 +72,17 @@ def knn_support(s: Sampling, k: int):
     neighbors. Each row comes out ranked by (squared distance, index);
     knn_edges and the heuristic widths read this.
 
-    Vertices are queried, tie-checked and ranked _BLOCK_ROWS at a time, and a
-    block widens its query window only while one of its own tie groups
-    straddles it. Each point's search is independent, so the support does not
-    depend on the block size. Only one block's (rows, window) arrays exist at
-    a time, and its entries go straight into cols and dists: those are
-    allocated once at k + 1 entries a vertex (doubled if ties need more) and
-    trimmed in place, so no per-block pieces are kept and joined.
+    Vertices are queried, tie-checked and ranked _KNN_ROWS at a time, one
+    task each (_ranked_rows), in rounds of one task per core on the row-chunk
+    pool (_run_rows); a sampling of at most _REDUCE_ROWS vertices, or a
+    process with one usable core, runs every task on the calling thread. A
+    row's query window starts at k + 1 + _KNN_PAD entries and widens only
+    while its own tie group straddles it. Each point's search is independent,
+    so the support depends on none of the task size, the start window and
+    the core count. After each round the calling thread copies the finished
+    tasks, in order, into cols and dists: those are allocated once at k + 1
+    entries a vertex (doubled if ties need more) and trimmed in place, so no
+    per-task pieces are kept and joined.
     InvalidArgumentError, before the tree is built, when the graph layer's
     estimated peak exceeds physical memory.
     """
@@ -87,35 +93,54 @@ def knn_support(s: Sampling, k: int):
     tree = cKDTree(s.points)
     indptr = np.zeros(n + 1, np.int64)
     cols, dists = np.empty(n * (k + 1), np.int32), np.empty(n * (k + 1), np.float64)
-    for start in range(0, n, _BLOCK_ROWS):
-        points = s.points[start:start + _BLOCK_ROWS]
-        pad = 8
-        while True:
-            kq = min(n, k + 1 + pad)
-            # each point's search is independent: the result is the same on any number of threads
-            dist, idx = tree.query(points, k=kq, workers=-1)
-            thresh = dist[:, k] * (1.0 + _TIE_REL_TOL)
-            if kq == n or not np.any(dist[:, -1] <= thresh):
-                break
-            pad *= 2  # a tie group straddles this block's query window; widen it
-        stop = start + len(points)
-        keep = (dist <= thresh[:, None]) & (idx != np.arange(start, stop)[:, None])
-        diffs = s.points[start + np.nonzero(keep)[0]] - s.points[idx[keep]]
-        d2 = np.full(idx.shape, np.inf)  # dropped entries rank last
-        d2[keep] = np.einsum("ij,ij->i", diffs, diffs)
-        order = np.lexsort((idx, d2), axis=1)
-        d2 = np.take_along_axis(d2, order, axis=1)
-        keep = d2 < np.inf
-        indptr[start + 1:stop + 1] = indptr[start] + np.cumsum(keep.sum(axis=1))
-        begin, end = indptr[start], indptr[stop]
-        if end > len(cols):  # ties gave more than k + 1 neighbours a vertex so far
-            for out in (cols, dists):
-                out.resize(2 * end, refcheck=False)
-        cols[begin:end] = np.take_along_axis(idx, order, axis=1)[keep]
-        dists[begin:end] = np.sqrt(d2[keep])
+    blocks = [(start, min(n, start + _KNN_ROWS)) for start in range(0, n, _KNN_ROWS)]
+    per_round = _cores() if n > _REDUCE_ROWS else 1
+    for first in range(0, len(blocks), per_round):
+        tasks = blocks[first:first + per_round]
+        ranked = _run_rows([(tree, s.points, k, *block) for block in tasks], _ranked_rows)
+        for (start, stop), (counts, block_cols, block_dists) in zip(tasks, ranked):
+            indptr[start + 1:stop + 1] = indptr[start] + np.cumsum(counts)
+            begin, end = indptr[start], indptr[stop]
+            if end > len(cols):  # ties gave more than k + 1 neighbours a vertex so far
+                for out in (cols, dists):
+                    out.resize(2 * end, refcheck=False)
+            cols[begin:end], dists[begin:end] = block_cols, block_dists
     for out in (cols, dists):
         out.resize(indptr[-1], refcheck=False)  # in place: the unused tail is given back
     return indptr, cols, dists
+
+
+def _ranked_rows(tree, points, k: int, start: int, stop: int):
+    """Support rows [start, stop) of knn_support as (counts, cols, dists):
+    each row's entry count, then its entries ranked by (squared distance,
+    index), row after row. The tree query runs on this thread alone."""
+    n = len(points)
+    x = points[start:stop]
+    pad = _KNN_PAD
+    kq = min(n, k + 1 + pad)
+    dist, idx = tree.query(x, k=kq, workers=1)
+    thresh = dist[:, k] * (1.0 + _TIE_REL_TOL)
+    wide = np.nonzero(dist[:, -1] <= thresh)[0]
+    while kq < n and wide.size:
+        # a tie group straddles these rows' window: re-query them alone, wider
+        # (the other rows' new columns hold inf, which is never kept)
+        pad *= 2
+        kq = min(n, k + 1 + pad)
+        d, i = tree.query(x[wide], k=kq, workers=1)
+        grow = ((0, 0), (0, kq - dist.shape[1]))
+        dist, idx = np.pad(dist, grow, constant_values=np.inf), np.pad(idx, grow, constant_values=n)
+        dist[wide], idx[wide] = d, i
+        thresh[wide] = d[:, k] * (1.0 + _TIE_REL_TOL)
+        wide = wide[d[:, -1] <= thresh[wide]]
+    keep = (dist <= thresh[:, None]) & (idx != np.arange(start, stop)[:, None])
+    # np.take gathers rows about three times faster than fancy indexing
+    diffs = np.take(x, np.nonzero(keep)[0], axis=0) - np.take(points, idx[keep], axis=0)
+    d2 = np.full(idx.shape, np.inf)  # dropped entries rank last
+    d2[keep] = np.einsum("ij,ij->i", diffs, diffs)
+    order = np.lexsort((idx, d2), axis=1)
+    d2 = np.take_along_axis(d2, order, axis=1)
+    keep = d2 < np.inf
+    return keep.sum(axis=1), np.take_along_axis(idx, order, axis=1)[keep], np.sqrt(d2[keep])
 
 
 def _graph_bytes(n: int, k: int) -> int:
@@ -124,7 +149,8 @@ def _graph_bytes(n: int, k: int) -> int:
     the 12-byte support beside its transpose or its union, then the union
     beside the weights and their own index copy. Under tracemalloc build_graph
     peaked at 25-36 bytes on samplings of 100,000 points and more at k 8-40;
-    smaller ones add one block's query arrays."""
+    smaller ones add the arrays of one round of kNN tasks, one _KNN_ROWS-row
+    task a core (38-43 bytes on HEALPix nside 64 and icosahedral level 6)."""
     return 40 * n * (k + 1)
 
 
@@ -260,7 +286,9 @@ def heuristic_kernel_width(s: Sampling, k: int, kind: str = "half-mean-square") 
 # one task per chunk on a module thread pool, the first chunk on the calling
 # thread. Every row's matvec and vector updates are the same arithmetic in any
 # chunk, and reductions run over whole vectors between tasks, so no result
-# depends on the number of chunks or on the block size.
+# depends on the number of chunks or on the block size. knn_support ranks its
+# row blocks on the same pool, and takes the same route to the calling thread
+# alone for an n of at most _REDUCE_ROWS.
 _REDUCE_ROWS = 1 << 14
 _POOL = None
 _POOL_LOCK = threading.Lock()
@@ -307,22 +335,22 @@ def _row_chunks(L, n: int) -> list:
     return chunks
 
 
-def _run_rows(chunks: list, task) -> None:
-    """task(start, stop, rows) for every chunk: the first on this thread, the
-    others on the module pool. Returns once all have finished."""
+def _run_rows(tasks: list, task) -> list:
+    """task(*args) for every args in tasks (row chunks, or one round of
+    knn_support's blocks): the first on this thread, the others on the
+    module pool. Returns their results, in order, once all have finished."""
     global _POOL
     futures = []
-    if len(chunks) > 1:
+    if len(tasks) > 1:
         with _POOL_LOCK:
             if _POOL is None:
                 _POOL = ThreadPoolExecutor(max(1, _cores() - 1), "spheregraph-rows")
-        futures = [_POOL.submit(task, *chunk) for chunk in chunks[1:]]
+        futures = [_POOL.submit(task, *args) for args in tasks[1:]]
     try:
-        task(*chunks[0])
+        first = task(*tasks[0])
     finally:
         wait(futures)
-    for future in futures:
-        future.result()
+    return [first] + [future.result() for future in futures]
 
 
 def _dot(u, v) -> float:

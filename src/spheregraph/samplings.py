@@ -90,11 +90,11 @@ def _ring_layout(nside: int):
     return rings, nr, np.cumsum(4 * nr) - 4 * nr
 
 
-def _healpix_ring_zphi(nside: int):
-    """(z, phi) of the ring-ordered pixel centers, walking the rings north to south."""
-    rings, nr, start = _ring_layout(nside)
+def _ring_zphi(nside: int, rings, nr, start):
+    """(z, phi) of the pixel centers on consecutive rings, given each ring's
+    number, quarter pixel count and first index from _ring_layout."""
     i = np.repeat(rings, 4 * nr)  # ring of each pixel
-    iphi = np.arange(i.size) - np.repeat(start, 4 * nr) + 1  # position in its ring, from 1
+    iphi = np.arange(start[0], start[-1] + 4 * nr[-1]) - np.repeat(start, 4 * nr) + 1  # position in its ring, from 1
     nr = np.repeat(nr, 4 * nr)
     north, south = i < nside, i > 3 * nside
     cap = nr**2 / (3.0 * nside**2)
@@ -102,6 +102,27 @@ def _healpix_ring_zphi(nside: int):
     fodd = 0.5 * (1 + (i + nside) % 2)
     phi = np.where(north | south, (iphi - 0.5) * np.pi / (2.0 * nr), (iphi - fodd) * np.pi / (2.0 * nside))
     return z, phi
+
+
+_RING_PIXELS = 1 << 18  # pixels at most whose ring-walk temporaries exist at a time
+
+
+def _healpix_ring_points(nside: int) -> np.ndarray:
+    """(n, 3) ring-ordered pixel centers. The rings are walked north to south
+    in blocks of at most _RING_PIXELS pixels, each copied into the result, so
+    the walk's temporaries (about 75 bytes a pixel, the block's points
+    included) cover one block. A lone block is the result itself, with no
+    copy."""
+    rings, nr, start = _ring_layout(nside)
+    step = max(1, _RING_PIXELS // (4 * nside))  # rings a block; a ring has at most 4 nside pixels
+    if step >= rings.size:
+        return _zphi_to_xyz(*_ring_zphi(nside, rings, nr, start))
+    points = np.empty((12 * nside * nside, 3))
+    for first in range(0, rings.size, step):
+        block = slice(first, first + step)
+        xyz = _zphi_to_xyz(*_ring_zphi(nside, rings[block], nr[block], start[block]))
+        points[start[first]:start[first] + len(xyz)] = xyz
+    return points
 
 
 _JRLL = np.array([2, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4], dtype=np.int64)
@@ -151,11 +172,11 @@ def healpix_sampling(nside: int, indexing: str = "ring") -> Sampling:
     if indexing not in ("ring", "nested"):
         raise InvalidArgumentError(f"indexing must be 'ring' or 'nested', got {indexing!r}")
     nside = int(nside)
-    points = _zphi_to_xyz(*_healpix_ring_zphi(nside))
+    points = _healpix_ring_points(nside)
     if indexing == "ring":
         return Sampling(points, "healpix-ring", nside)
     hierarchy = np.arange(12 * nside * nside, dtype=np.int64) // 4 if nside >= 2 else None
-    return Sampling(points[_nest_to_ring(nside)], "healpix-nested", nside, hierarchy)
+    return Sampling(np.take(points, _nest_to_ring(nside), axis=0), "healpix-nested", nside, hierarchy)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -96,22 +97,44 @@ class TestKnnEdges:
     ])
     @pytest.mark.parametrize("k", [8, 40])
     def test_support_independent_of_thread_count(self, monkeypatch, make, k):
-        s = make()
-        all_cores = graphs.knn_support(s, k)
-        workers = []
+        assert_support_parity(monkeypatch, make(), k)
 
-        class SingleWorkerTree(cKDTree):
-            def query(self, x, **kwargs):
-                workers.append(kwargs.get("workers"))
-                return super().query(x, **{**kwargs, "workers": 1})
+    def test_widened_rows_independent_of_thread_count(self, monkeypatch):
+        # at HEALPix nside 128, k 8, 120 of the 196,608 rows widen the start window
+        assert assert_support_parity(monkeypatch, healpix_sampling(128), 8)
 
-        monkeypatch.setattr(graphs, "cKDTree", SingleWorkerTree)
-        monkeypatch.setattr(graphs, "_BLOCK_ROWS", 1000)  # and in blocks of 1,000 rows
-        one_worker = graphs.knn_support(s, k)
-        assert workers and all(w == -1 for w in workers)  # the library asks for every core
-        for got, want in zip(all_cores, one_worker):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+
+def assert_support_parity(monkeypatch, s, k) -> bool:
+    """Check that knn_support of s is the same bytes on 1, 2 and 3 cores at
+    two task sizes, and with a wider start window, as at the defaults, with
+    every tree query on one thread and the pool used whenever a round holds
+    two tasks or more. Returns whether any row widened its window."""
+    want = graphs.knn_support(s, k)
+    queries = []
+
+    class RecordingTree(cKDTree):
+        def query(self, x, **kwargs):
+            queries.append((threading.current_thread().name, kwargs.get("workers")))
+            return super().query(x, **kwargs)
+
+    monkeypatch.setattr(graphs, "cKDTree", RecordingTree)
+    # samplings of up to _REDUCE_ROWS points run on the calling thread: let these reach the pool
+    monkeypatch.setattr(graphs, "_REDUCE_ROWS", min(graphs._REDUCE_ROWS, s.n // 2))
+    runs = [(cores, rows, graphs._KNN_PAD) for cores in (1, 2, 3) for rows in (graphs._KNN_ROWS, 1000)]
+    widened = False
+    for cores, rows, pad in runs + [(2, graphs._KNN_ROWS, 8)]:
+        monkeypatch.setattr(graphs, "_cores", lambda c=cores: c)
+        monkeypatch.setattr(graphs, "_KNN_ROWS", rows)
+        monkeypatch.setattr(graphs, "_KNN_PAD", pad)
+        queries.clear()
+        got = graphs.knn_support(s, k)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        assert all(workers == 1 for _, workers in queries)
+        pooled = any(name.startswith("spheregraph-rows") for name, _ in queries)
+        assert pooled == (cores > 1 and s.n > rows)
+        widened |= len(queries) > -(-s.n // rows)  # a task re-queried its straddling rows
+    return widened
 
 
 TIE_HEAVY = {  # samplings full of distance ties: the `graph` command's options, the sampling
@@ -129,13 +152,14 @@ class TestBlocks:
     @pytest.mark.parametrize("k", [8, 40])
     @pytest.mark.parametrize("name", list(TIE_HEAVY))
     def test_block_size_changes_nothing(self, monkeypatch, tmp_path, name, k):
-        # tie groups straddle block edges, and some blocks widen their query
+        # tie groups straddle block edges, and some rows widen their query
         # window while their neighbours do not
         options, make = TIE_HEAVY[name]
         s = make()
         runs = []
         for rows in (s.n, 37):  # one block, then blocks of 37 rows
             monkeypatch.setattr(graphs, "_BLOCK_ROWS", rows)
+            monkeypatch.setattr(graphs, "_KNN_ROWS", rows)
             support = graphs.knn_support(s, k)
             a = build_graph(s, k, WeightScheme("inverse-distance")).adjacency
             out = tmp_path / f"graph-{rows}.csv"
@@ -151,9 +175,10 @@ class TestBlocks:
     def test_memory_per_vertex(self, tmp_path):
         # build_graph then the CSV export at HEALPix nside 64, k 8 (n 49,152), under
         # tracemalloc. The kNN query over all n rows at once peaked at 1,033 bytes
-        # per vertex by itself. In blocks the two calls peak near 530: at this size
-        # one block is a third of the rows, beside the support's arrays, which
-        # are allocated at k + 1 entries a vertex.
+        # per vertex by itself. In 4,096-row tasks, two at a time on a 2-core box,
+        # the two calls peak near 400 (530 with one 16,384-row block, a third of
+        # the rows, at a time), beside the support's arrays, which are allocated
+        # at k + 1 entries a vertex.
         s, k = healpix_sampling(64), 8
         w = WeightScheme("gaussian", heuristic_kernel_width(s, k))
         tracemalloc.start()
